@@ -24,13 +24,11 @@ from .infogeo import (
     kl_divergence,
     product_distribution,
     randomized_distribution,
-    weighted_bernoulli_kl,
 )
 from .oracle import OracleConfig, empirical_kl, negative_log_likelihood, oracle_mle
 from .projector import (
     ProjectionResult,
     cubic_solve,
-    norm_residual_of_lambda,
     project_mle,
     projection_trajectory,
     solve_lambda,
@@ -60,7 +58,6 @@ __all__ = [
     "foliation_orthogonality_defect",
     "kl_divergence",
     "negative_log_likelihood",
-    "norm_residual_of_lambda",
     "norm_squared",
     "oracle_mle",
     "product_distribution",
@@ -72,5 +69,4 @@ __all__ = [
     "stokes_vector",
     "temporal_estimate",
     "weight_vector",
-    "weighted_bernoulli_kl",
 ]

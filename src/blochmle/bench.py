@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import norm_squared
+from .checks import exterior_point
 from .oracle import OracleConfig, oracle_mle
 from .projector import project_mle
 
@@ -44,14 +44,6 @@ class BenchResult:
         return self.oracle_mean_ms / self.projection_mean_ms
 
 
-def sample_exterior(rng: np.random.Generator) -> np.ndarray:
-    """Components uniform in [-1, 1], rejected until the point is exterior."""
-    while True:
-        xi = rng.uniform(-1.0, 1.0, 3)
-        if norm_squared(xi) > 1.0:
-            return xi
-
-
 def run_benchmark(trials: int, seed: int = 0, config: OracleConfig | None = None) -> BenchResult:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -61,7 +53,7 @@ def run_benchmark(trials: int, seed: int = 0, config: OracleConfig | None = None
     weights = np.asarray(EQUAL_WEIGHTS)
     rows: list[BenchTrial] = []
     for index in range(trials):
-        xi_hat = sample_exterior(rng)
+        xi_hat = exterior_point(rng)
 
         t0 = time.perf_counter()
         projected = project_mle(xi_hat, weights)

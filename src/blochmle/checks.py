@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import norm_squared, temporal_estimate
 from .infogeo import (
-    _randomized_probs,
+    _score_derivatives,
     canonical_divergence,
     dual_coordinates,
     fisher_metric,
@@ -23,8 +23,8 @@ from .infogeo import (
     kl_divergence,
     product_distribution,
     randomized_distribution,
-    weighted_bernoulli_kl,
 )
+from .oracle import empirical_kl
 from .projector import cubic_solve, project_mle, solve_lambda
 from .simulator import SimulationSpec, simulate
 
@@ -97,7 +97,7 @@ def marginal_decomposition_defect(n=100, seed=0) -> float:
         xi_p = interior_point(rng)
         xi_q = interior_point(rng)
         whole = kl_divergence(randomized_distribution(s, xi_p), randomized_distribution(s, xi_q))
-        split = weighted_bernoulli_kl(xi_p, xi_q, s)
+        split = empirical_kl(xi_p, s, xi_q)
         worst = max(worst, abs(whole - split))
     return worst
 
@@ -118,14 +118,7 @@ def pythagorean_defect(n=100, seed=0) -> float:
 
 
 def _numeric_fisher(s, xi, step=1e-6):
-    p = _randomized_probs(s[0], s[1], xi)
-    derivs = []
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        derivs.append(
-            (_randomized_probs(s[0], s[1], xi + e) - _randomized_probs(s[0], s[1], xi - e)) / (2.0 * step)
-        )
+    p, derivs = _score_derivatives(s, xi, step)
     g = np.empty((3, 3))
     for i in range(3):
         for j in range(3):

@@ -100,11 +100,13 @@ def temporal_estimate(counts: CountRecord) -> tuple[StokesVector, WeightVector]:
 
     Returns the per-axis relative frequency difference (n+ - n-)/N_i and the
     measurement fractions N_i/N.  The estimate may fall outside the Bloch
-    ball; correcting that is the projector's job.
+    ball; correcting that is the projector's job.  Both come from Python int
+    true division, which is correctly rounded for counts of any size.
     """
-    totals = np.asarray(counts.axis_totals, dtype=float)
-    diff = np.asarray(counts.n_plus, dtype=float) - np.asarray(counts.n_minus, dtype=float)
-    return diff / totals, totals / totals.sum()
+    totals = counts.axis_totals
+    total = sum(totals)
+    xi = [(p - m) / t for p, m, t in zip(counts.n_plus, counts.n_minus, totals)]
+    return np.array(xi), np.array([t / total for t in totals])
 
 
 def norm_squared(xi) -> float:

@@ -83,6 +83,12 @@ def randomized_distribution(s: WeightVector, xi: StokesVector) -> FiniteDistribu
     xi = _interior(xi)
     if xi.size != 3:
         raise InvalidInputError("randomized measurement needs all 3 axes")
+    return _six_outcome(s, xi)
+
+
+def _six_outcome(s: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    # Unchecked 6-outcome probabilities, shared by the validating constructor,
+    # the central differences below and the simulator's randomized mode.
     out = np.empty(6)
     out[0::2] = s * (1.0 + xi) / 2.0
     out[1::2] = s * (1.0 - xi) / 2.0
@@ -125,27 +131,6 @@ def canonical_divergence(p_xi, q_xi) -> float:
     return cq.psi + cp.phi - float(np.dot(cq.theta, cp.eta))
 
 
-def weighted_bernoulli_kl(xi_p, xi_q, s) -> float:
-    """Per-axis binary KL divergences, weighted by the measurement fractions.
-
-    Equals the KL divergence between the 6-outcome randomized distributions
-    with the same weights on both sides.  The first argument may have
-    boundary components (+-1); vanishing-probability terms follow the
-    0 log 0 := 0 convention, so this is safe on empirical estimates.
-    """
-    xi_p = np.asarray(xi_p, dtype=float)
-    xi_q = np.asarray(xi_q, dtype=float)
-    s = np.asarray(s, dtype=float)
-    total = 0.0
-    for sign in (1.0, -1.0):
-        p = (1.0 + sign * xi_p) / 2.0
-        q = np.clip((1.0 + sign * xi_q) / 2.0, 0.0, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
-        total += float(np.sum(s * term))
-    return total
-
-
 def fisher_metric(xi: StokesVector, s: WeightVector) -> np.ndarray:
     """Fisher information matrix of the randomized model in Stokes
     coordinates: diag(s_i / (1 - xi_i^2)).  Scale is fixed to a single
@@ -157,14 +142,26 @@ def fisher_metric(xi: StokesVector, s: WeightVector) -> np.ndarray:
     return np.diag(s / (1.0 - xi**2))
 
 
-def _randomized_probs(s1: float, s2: float, xi: np.ndarray) -> np.ndarray:
-    # Raw 6-vector with s3 implicit; used for derivatives in the (s1, s2, xi)
-    # parametrization, so no normalization checks here.
-    s = np.array([s1, s2, 1.0 - s1 - s2])
-    out = np.empty(6)
-    out[0::2] = s * (1.0 + xi) / 2.0
-    out[1::2] = s * (1.0 - xi) / 2.0
-    return out
+def _score_derivatives(s: np.ndarray, xi: np.ndarray, step: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """6-outcome probabilities and their central-difference derivatives in
+    the (xi1, xi2, xi3, s1, s2) parametrization, s3 = 1 - s1 - s2 implicit.
+
+    The model is affine in every parameter, so the differences are exact up
+    to rounding.  No normalization checks: callers validate.
+    """
+
+    def probs(s1, s2, x):
+        return _six_outcome(np.array([s1, s2, 1.0 - s1 - s2]), x)
+
+    p = probs(s[0], s[1], xi)
+    derivs = []
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = step
+        derivs.append((probs(s[0], s[1], xi + e) - probs(s[0], s[1], xi - e)) / (2.0 * step))
+    derivs.append((probs(s[0] + step, s[1], xi) - probs(s[0] - step, s[1], xi)) / (2.0 * step))
+    derivs.append((probs(s[0], s[1] + step, xi) - probs(s[0], s[1] - step, xi)) / (2.0 * step))
+    return p, derivs
 
 
 def foliation_coordinates(s: WeightVector, xi: StokesVector) -> tuple[np.ndarray, np.ndarray]:
@@ -198,26 +195,15 @@ def foliation_orthogonality_defect(s: WeightVector, xi: StokesVector, step: floa
     """Largest Fisher inner product between a state direction and a weight
     direction on the 6-outcome model; zero when the foliation is orthogonal.
 
-    Derivatives are central differences with the given step (the model is
-    affine in every parameter, so the differences are exact up to rounding).
+    Derivatives are central differences with the given step.
     """
     s = weight_vector(s)
     xi = _interior(xi)
     if xi.size != 3:
         raise InvalidInputError("orthogonality defect needs all 3 axes")
-    p = _randomized_probs(s[0], s[1], xi)
-
-    d_xi = []
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        d_xi.append((_randomized_probs(s[0], s[1], xi + e) - _randomized_probs(s[0], s[1], xi - e)) / (2.0 * step))
-    d_s = [
-        (_randomized_probs(s[0] + step, s[1], xi) - _randomized_probs(s[0] - step, s[1], xi)) / (2.0 * step),
-        (_randomized_probs(s[0], s[1] + step, xi) - _randomized_probs(s[0], s[1] - step, xi)) / (2.0 * step),
-    ]
+    p, derivs = _score_derivatives(s, xi, step)
     defect = 0.0
-    for du in d_xi:
-        for dv in d_s:
+    for du in derivs[:3]:
+        for dv in derivs[3:]:
             defect = max(defect, abs(float(np.sum(du * dv / p))))
     return defect

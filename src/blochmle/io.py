@@ -29,6 +29,19 @@ def _require_int(value, field: str) -> int:
     return value
 
 
+def _parse_int(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"{field}: not an integer: {text!r}") from None
+
+
+def _record(by_axis: dict) -> CountRecord:
+    """CountRecord from {axis: (n_plus, n_minus)} naming axes 1, 2 and 3."""
+    (p1, m1), (p2, m2), (p3, m3) = by_axis[1], by_axis[2], by_axis[3]
+    return CountRecord((p1, p2, p3), (m1, m2, m3))
+
+
 def parse_counts_json(text: str) -> CountRecord:
     try:
         doc = json.loads(text)
@@ -39,8 +52,7 @@ def parse_counts_json(text: str) -> CountRecord:
     axes = doc["axes"]
     if not isinstance(axes, list) or len(axes) != 3:
         raise InvalidInputError("axes: expected a list of exactly 3 records")
-    plus = {}
-    minus = {}
+    by_axis = {}
     for idx, rec in enumerate(axes):
         if not isinstance(rec, dict):
             raise InvalidInputError(f"axes[{idx}]: expected an object")
@@ -50,11 +62,13 @@ def parse_counts_json(text: str) -> CountRecord:
         axis = _require_int(rec["axis"], f"axes[{idx}].axis")
         if axis not in (1, 2, 3):
             raise InvalidInputError(f"axes[{idx}].axis: expected 1, 2, or 3, got {axis}")
-        if axis in plus:
+        if axis in by_axis:
             raise InvalidInputError(f"axes[{idx}].axis: duplicate axis {axis}")
-        plus[axis] = _require_int(rec["n_plus"], f"axes[{idx}].n_plus")
-        minus[axis] = _require_int(rec["n_minus"], f"axes[{idx}].n_minus")
-    return CountRecord((plus[1], plus[2], plus[3]), (minus[1], minus[2], minus[3]))
+        by_axis[axis] = (
+            _require_int(rec["n_plus"], f"axes[{idx}].n_plus"),
+            _require_int(rec["n_minus"], f"axes[{idx}].n_minus"),
+        )
+    return _record(by_axis)
 
 
 def parse_counts_csv(text: str) -> CountRecord:
@@ -64,26 +78,15 @@ def parse_counts_csv(text: str) -> CountRecord:
         raise InvalidInputError(f"header: expected {','.join(COUNTS_CSV_HEADER)}")
     if len(rows) != 4:
         raise InvalidInputError(f"expected exactly 3 data rows, got {len(rows) - 1}")
-    plus = {}
-    minus = {}
+    by_axis = {}
     for idx, row in enumerate(rows[1:]):
         if len(row) != 3:
             raise InvalidInputError(f"row {idx + 1}: expected 3 columns, got {len(row)}")
-        try:
-            axis = int(row[0])
-        except ValueError:
-            raise InvalidInputError(f"row {idx + 1} axis: not an integer: {row[0]!r}") from None
-        if axis not in (1, 2, 3) or axis in plus:
+        axis = _parse_int(row[0], f"row {idx + 1} axis")
+        if axis not in (1, 2, 3) or axis in by_axis:
             raise InvalidInputError(f"row {idx + 1} axis: bad or duplicate axis {row[0]!r}")
-        try:
-            plus[axis] = int(row[1])
-        except ValueError:
-            raise InvalidInputError(f"row {idx + 1} n_plus: not an integer: {row[1]!r}") from None
-        try:
-            minus[axis] = int(row[2])
-        except ValueError:
-            raise InvalidInputError(f"row {idx + 1} n_minus: not an integer: {row[2]!r}") from None
-    return CountRecord((plus[1], plus[2], plus[3]), (minus[1], minus[2], minus[3]))
+        by_axis[axis] = (_parse_int(row[1], f"row {idx + 1} n_plus"), _parse_int(row[2], f"row {idx + 1} n_minus"))
+    return _record(by_axis)
 
 
 def parse_counts(text: str, fmt: str = "auto") -> CountRecord:

@@ -144,32 +144,9 @@ def negative_log_likelihood(xi: StokesVector, counts: CountRecord) -> float:
     return float(total)
 
 
-def sphere_nll_minimizer(counts: CountRecord, config: OracleConfig | None = None) -> StokesVector:
-    """Minimizer of the raw negative log-likelihood over the unit sphere,
-    using the same grid search; exists so tests can confirm the two
-    objective formulations pick the same point."""
-    if config is None:
-        config = OracleConfig()
-    n_plus = np.asarray(counts.n_plus, dtype=float)
-    n_minus = np.asarray(counts.n_minus, dtype=float)
-
-    def objective(points):
-        p_plus = np.clip((1.0 + points) / 2.0, 0.0, 1.0)
-        p_minus = np.clip((1.0 - points) / 2.0, 0.0, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = -(
-                np.where(n_plus > 0.0, n_plus * np.log(p_plus), 0.0)
-                + np.where(n_minus > 0.0, n_minus * np.log(p_minus), 0.0)
-            ).sum(axis=-1)
-        return val
-
-    return _minimize_on_sphere(objective, config)
-
-
 __all__ = [
     "OracleConfig",
     "empirical_kl",
     "oracle_mle",
     "negative_log_likelihood",
-    "sphere_nll_minimizer",
 ]

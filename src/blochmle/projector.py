@@ -16,7 +16,6 @@ by bracketing bisection with a secant polish.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ MAX_BISECT_ITERATIONS = 200
 MAX_BRACKET_DOUBLINGS = 200
 
 # Rounding in the closed form can push the arctan radicand slightly negative
-# near its zero (mu = 2, |a| = 1); anything below this is a logic error.
+# near its zero (mu = 2, |a| -> 1); anything below this is a logic error.
 _RADICAND_SLACK = -1e-12
 
 
@@ -67,8 +66,10 @@ def cubic_solve(mu: float, a: float) -> float:
     then polished with up to two Newton steps; trig evaluation alone leaves
     residuals around 1e-13..1e-11 (worse for small mu, where the cosine
     lands near its zero).  a = 0 short-circuits to 0, which is forced
-    analytically and avoids the 0/0 in the radicand.  For |a| = 1 and
-    mu >= 2 the root sits exactly on the boundary x = sgn(a).
+    analytically and avoids the 0/0 in the radicand.  For |a| = 1 the cubic
+    factors as (1 - x)(x^2 + x - mu) = 0 and the root is
+    sgn(a) * min(1, (sqrt(1 + 4 mu) - 1)/2), on the boundary for mu >= 2; the
+    trig form would lose about sqrt(eps) at the double root mu = 2.
     """
     mu = float(mu)
     a = float(a)
@@ -78,6 +79,9 @@ def cubic_solve(mu: float, a: float) -> float:
         raise InvalidInputError(f"a must lie in [-1, 1], got {a}")
     if a == 0.0:
         return 0.0
+    if abs(a) == 1.0:
+        # (sqrt(1 + 4 mu) - 1)/2 without the cancellation at small mu
+        return math.copysign(min(1.0, 2.0 * mu / (math.sqrt(1.0 + 4.0 * mu) + 1.0)), a)
     if mu >= 1e18:
         # a - x < ulp(a): the root rounds to a itself
         x = a
@@ -96,8 +100,8 @@ def cubic_solve(mu: float, a: float) -> float:
                 radicand = 0.0
             angle = (math.pi + math.atan(math.sqrt(radicand))) / 3.0
             x = math.copysign(2.0 * math.sqrt((mu + 1.0) / 3.0) * math.cos(angle), a)
-    # The interior root is simple with f' > 0, except at the double root
-    # mu = 2, |a| = 1 where the closed form is already exact.
+    # The interior root is simple with f' > 0, but it nears a double root as
+    # mu -> 2, |a| -> 1, where f' can round to <= 0 and the step is skipped.
     for _ in range(2):
         f = x * (1.0 - x * x) - mu * (a - x)
         fprime = 1.0 + mu - 3.0 * x * x
@@ -115,21 +119,6 @@ def _norm_residual(lam: float, s: np.ndarray, xi_hat: np.ndarray) -> float:
     return total - 1.0
 
 
-def norm_residual_of_lambda(lam: float, s: WeightVector, xi_hat: StokesVector) -> float:
-    """Squared norm of the candidate solution at multiplier lam, minus 1.
-
-    Tends to -1 as lam -> 0+ and to ||xi_hat||^2 - 1 > 0 as lam -> infinity;
-    the multiplier is its unique positive zero.
-    """
-    if not lam > 0.0:
-        raise InvalidInputError(f"lam must be positive, got {lam}")
-    s = weight_vector(s)
-    xi_hat = stokes_vector(xi_hat)
-    if norm_squared(xi_hat) <= 1.0:
-        raise InvalidInputError("residual is only defined for points outside the unit ball")
-    return _norm_residual(lam, s, xi_hat)
-
-
 def _solve_lambda(s: np.ndarray, xi_hat: np.ndarray) -> tuple[float, int]:
     lam_lo = 1e-12
     r_lo = _norm_residual(lam_lo, s, xi_hat)
@@ -139,6 +128,10 @@ def _solve_lambda(s: np.ndarray, xi_hat: np.ndarray) -> tuple[float, int]:
     r_hi = _norm_residual(lam_hi, s, xi_hat)
     doublings = 0
     while r_hi <= 0.0:
+        if r_hi >= -LAMBDA_RESIDUAL_TOL:
+            # Already a root; also the only exit for a float vector on the
+            # sphere whose norm^2 rounds above 1, where r never turns positive.
+            return lam_hi, 0
         lam_lo, r_lo = lam_hi, r_hi
         lam_hi *= 2.0
         doublings += 1
@@ -171,32 +164,17 @@ def _solve_lambda(s: np.ndarray, xi_hat: np.ndarray) -> tuple[float, int]:
     return lam, iterations
 
 
-def solve_lambda(s: WeightVector, xi_hat: StokesVector, verify_unique: bool = False) -> float:
+def solve_lambda(s: WeightVector, xi_hat: StokesVector) -> float:
     """Positive multiplier at which the candidate solution has unit norm.
 
-    Root uniqueness is relied on rather than re-proved; with
-    ``verify_unique`` the residual is scanned on a log grid across the
-    bracket and a RuntimeWarning is issued if more than one sign change
-    shows up (never observed; the scan exists so that it would not pass
-    silently).
+    The norm residual increases along lambda and has a single positive zero;
+    ``checks.lambda_monotonicity_ok`` scans for a second one.
     """
     s = weight_vector(s)
     xi_hat = stokes_vector(xi_hat)
     if norm_squared(xi_hat) <= 1.0:
         raise InvalidInputError("multiplier is only defined for points outside the unit ball")
-    lam, _ = _solve_lambda(s, xi_hat)
-    if verify_unique:
-        grid = np.logspace(-12, math.log10(max(4.0 * lam, 1.0)), 96)
-        signs = np.sign([_norm_residual(g, s, xi_hat) for g in grid])
-        changes = int(np.count_nonzero(np.diff(signs[signs != 0.0])))
-        if changes > 1:
-            warnings.warn(
-                f"norm residual changed sign {changes} times on the scan grid "
-                f"(xi_hat={xi_hat.tolist()}, s={s.tolist()})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return lam
+    return _solve_lambda(s, xi_hat)[0]
 
 
 def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CountRecord, InvalidInputError, weight_vector
+from .infogeo import _six_outcome
 
 MODES = ("standard", "randomized")
 
@@ -81,11 +82,7 @@ def simulate(spec: SimulationSpec) -> CountRecord:
         n_minus = [spec.n_shots - p for p in n_plus]
         return CountRecord(tuple(n_plus), tuple(n_minus))
 
-    s = np.asarray(spec.weights, dtype=float)
-    probs = np.empty(6)
-    probs[0::2] = s * (1.0 + xi) / 2.0
-    probs[1::2] = s * (1.0 - xi) / 2.0
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(_six_outcome(np.asarray(spec.weights, dtype=float), xi), 0.0, None)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))

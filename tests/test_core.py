@@ -39,6 +39,13 @@ def test_temporal_estimate_unequal_shots():
     np.testing.assert_allclose(s, [0.25, 0.5, 0.25], atol=0)
 
 
+def test_temporal_estimate_counts_above_2_53():
+    xi, s = temporal_estimate(CountRecord((2**60 + 1, 3, 3), (2**60 - 1, 1, 1)))
+    assert xi[0] == 2.0**-60
+    np.testing.assert_array_equal(xi[1:], [0.5, 0.5])
+    assert s[1] == 4 / (2**61 + 8)
+
+
 @pytest.mark.parametrize(
     "xi, expected",
     [((0.0, 0.0, 0.0), 0.0), ((1.0, 0.0, 0.0), 1.0), ((0.6, 0.0, 0.3), 0.45)],

@@ -21,8 +21,8 @@ from blochmle.infogeo import (
     kl_divergence,
     product_distribution,
     randomized_distribution,
-    weighted_bernoulli_kl,
 )
+from blochmle.oracle import empirical_kl
 
 # Frozen via 50-digit decimal summation of the two-term formula.
 KL_75_25_VS_UNIFORM = 0.13081203594113696
@@ -198,9 +198,9 @@ class TestDivergenceIdentities:
     def test_additivity_across_foliation(self):
         assert pythagorean_defect(100, seed=13) < 1e-10
 
-    def test_weighted_bernoulli_kl_boundary_safe(self):
+    def test_empirical_kl_boundary_safe(self):
         # empirical component at +1: the vanishing term drops out
-        val = weighted_bernoulli_kl(
-            np.array([1.0, 0.0, 0.0]), np.array([0.8, 0.1, 0.0]), np.array([1 / 3] * 3)
+        val = empirical_kl(
+            np.array([1.0, 0.0, 0.0]), np.array([1 / 3] * 3), np.array([0.8, 0.1, 0.0])
         )
         assert np.isfinite(val) and val > 0.0

@@ -13,10 +13,10 @@ from blochmle.checks import (
     projection_orthogonality_defect,
     projection_residual_battery,
 )
-from blochmle.core import InvalidInputError, norm_squared
+from blochmle.core import CountRecord, InvalidInputError, norm_squared, temporal_estimate
 from blochmle.projector import (
+    _norm_residual,
     cubic_solve,
-    norm_residual_of_lambda,
     project_mle,
     projection_trajectory,
     solve_lambda,
@@ -87,21 +87,17 @@ class TestCubicSolve:
 
 class TestNormResidual:
     def test_small_lambda_limit(self):
-        r = norm_residual_of_lambda(1e-9, EQUAL, np.array([0.8, 0.8, 0.8]))
+        r = _norm_residual(1e-9, EQUAL, np.array([0.8, 0.8, 0.8]))
         assert r == pytest.approx(-1.0, abs=1e-6)
 
     def test_large_lambda_limit(self):
-        r = norm_residual_of_lambda(1e6, EQUAL, np.array([0.8, 0.8, 0.8]))
+        r = _norm_residual(1e6, EQUAL, np.array([0.8, 0.8, 0.8]))
         assert r == pytest.approx(0.92, abs=1e-4)
 
     def test_zero_at_solution(self):
         xi = np.array([0.9, 0.8, 0.5])
         lam = solve_lambda(EQUAL, xi)
-        assert abs(norm_residual_of_lambda(lam, EQUAL, xi)) < 1e-12
-
-    def test_interior_rejected(self):
-        with pytest.raises(InvalidInputError):
-            norm_residual_of_lambda(1.0, EQUAL, np.array([0.1, 0.1, 0.1]))
+        assert abs(_norm_residual(lam, EQUAL, xi)) < 1e-12
 
 
 class TestSolveLambda:
@@ -110,7 +106,7 @@ class TestSolveLambda:
         assert lam == pytest.approx(LAMBDA_SYMMETRIC, abs=1e-9)
 
     def test_positive_and_unique_sign_change(self):
-        lam = solve_lambda(EQUAL, np.array([0.9, 0.8, 0.5]), verify_unique=True)
+        lam = solve_lambda(EQUAL, np.array([0.9, 0.8, 0.5]))
         assert lam > 0.0
         assert lambda_monotonicity_ok(50, seed=17)
 
@@ -172,6 +168,27 @@ class TestProjectMle:
         assert res.was_projected
         assert res.norm_residual < 1e-10
         assert max(res.equation_residuals) < 1e-10
+
+    @pytest.mark.parametrize(
+        "n_plus, n_minus",
+        [((37, 133, 468), (37, 135, 0)), ((171, 86, 86), (0, 85, 85))],
+    )
+    def test_pure_axis_counts(self, n_plus, n_minus):
+        # one component at exactly +-1 with its multiplier near the double
+        # root mu = 2 of the cubic
+        xi_hat, s_hat = temporal_estimate(CountRecord(n_plus, n_minus))
+        res = project_mle(xi_hat, s_hat)
+        assert res.was_projected
+        assert res.norm_residual < 1e-10
+        assert max(res.equation_residuals) < 1e-10
+
+    def test_float_vector_on_the_sphere(self):
+        # norm exactly 1, but its float norm^2 rounds to 1 + 2.2e-16
+        xi_hat, s_hat = temporal_estimate(CountRecord((2, 5, 9), (20, 17, 13)))
+        assert norm_squared(xi_hat) > 1.0
+        res = project_mle(xi_hat, s_hat)
+        assert res.norm_residual < 1e-10
+        assert np.max(np.abs(res.xi_star - xi_hat)) < 1e-12
 
 
 class TestTrajectory:

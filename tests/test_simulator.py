@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blochmle.checks import consistency_errors, reproducibility_ok, weight_lln_defect
-from blochmle.core import InvalidInputError, temporal_estimate
+from blochmle.core import CountRecord, InvalidInputError, temporal_estimate
 from blochmle.simulator import SimulationSpec, simulate
 
 
@@ -29,6 +29,27 @@ def test_normalized_pure_state_accepted():
 
 def test_reproducibility():
     assert reproducibility_ok(seed=123)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            SimulationSpec(xi_true=(0.3, -0.2, 0.5), mode="standard", n_shots=5000, seed=0),
+            CountRecord((3277, 1971, 3754), (1723, 3029, 1246)),
+        ),
+        (
+            SimulationSpec(
+                xi_true=(0.3, -0.2, 0.5), mode="randomized", n_shots=5000, weights=(0.5, 0.3, 0.2), seed=0
+            ),
+            CountRecord((1626, 596, 751), (827, 914, 286)),
+        ),
+    ],
+)
+def test_frozen_counts(spec, expected):
+    # pinned across versions: the determinism contract is platform- and
+    # release-independent, not only within one process
+    assert simulate(spec) == expected
 
 
 def test_distinct_seeds_differ():
