@@ -135,7 +135,7 @@ def build_estimate_report(
         "was_projected": result.was_projected,
         "xi_star": result.xi_star.tolist(),
         "kl_empirical_to_mle": float(empirical_kl(xi_hat, s_hat, result.xi_star)),
-        "iterations": result.iterations,
+        "residual_evaluations": result.residual_evaluations,
     }
     if result.was_projected:
         report["lambda_star"] = result.lambda_star

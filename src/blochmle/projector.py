@@ -8,14 +8,16 @@ maximum-likelihood correction is the point x on the unit sphere solving
 
 for an auxiliary multiplier lam > 0 (orthogonal projection under the
 weighted metric diag(s_i / (1 - x_i^2))).  Each scalar equation has a
-unique root in (-1, 1) with a trigonometric closed form; substituting it
+unique root in [-1, 1] with a trigonometric closed form; substituting it
 reduces the norm constraint to a one-dimensional root-find in lam, solved
-by bracketing bisection with a secant polish.
+by Newton steps on the analytic slope, kept inside a bracket that grows
+and bisects in log lam (see ``_solve_lambda``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +33,15 @@ from .core import (
 )
 
 LAMBDA_RESIDUAL_TOL = 1e-12
-MAX_BISECT_ITERATIONS = 200
-MAX_BRACKET_DOUBLINGS = 200
+MAX_RESIDUAL_EVALUATIONS = 200
+
+_FLOAT_MAX = sys.float_info.max
+# Once |r| is within tolerance, the solve stops when a further Newton step
+# would move no root by more than this, or when r is down to the rounding in
+# sum x_i^2 - 1; |r| <= 1e-12 alone leaves a small component that carries
+# most of dr/dlam up to 1e-12 / (2 |x_i|) from its root.
+_ROOT_STEP_TOL = 1e-13
+_RESIDUAL_FLOOR = 4.0 * sys.float_info.epsilon
 
 # Rounding in the closed form can push the arctan radicand slightly negative
 # near its zero (mu = 2, |a| -> 1); anything below this is a logic error.
@@ -44,7 +53,13 @@ class ProjectionResult:
     """Outcome of the sphere projection.
 
     When ``was_projected`` is False the input was already physical and is
-    returned unchanged, with no multiplier or equation residuals.
+    returned unchanged, with no multiplier or equation residuals, and
+    ``residual_evaluations`` is 0.  Otherwise ``residual_evaluations``
+    counts every evaluation of the norm residual r(lam) that the multiplier
+    solve made, and ``equation_residuals`` holds
+    |x_i (1 - x_i^2) - mu_i (xihat_i - x_i)| / (1 + mu_i) with mu_i = lam s_i:
+    scaled by 1 + mu_i, the size of the equation's terms, so the bound on
+    them does not grow with the multiplier.
     """
 
     xi_star: StokesVector
@@ -52,7 +67,7 @@ class ProjectionResult:
     lambda_star: float | None
     norm_residual: float
     equation_residuals: tuple[float, float, float] | None
-    iterations: int
+    residual_evaluations: int
 
 
 def cubic_solve(mu: float, a: float) -> float:
@@ -80,6 +95,9 @@ def cubic_solve(mu: float, a: float) -> float:
     if a == 0.0:
         return 0.0
     if abs(a) == 1.0:
+        if mu >= 2.0:
+            # also keeps 4 mu from overflowing for mu near the largest float
+            return math.copysign(1.0, a)
         # (sqrt(1 + 4 mu) - 1)/2 without the cancellation at small mu
         return math.copysign(min(1.0, 2.0 * mu / (math.sqrt(1.0 + 4.0 * mu) + 1.0)), a)
     if mu >= 1e18:
@@ -102,8 +120,11 @@ def cubic_solve(mu: float, a: float) -> float:
             x = math.copysign(2.0 * math.sqrt((mu + 1.0) / 3.0) * math.cos(angle), a)
     # The interior root is simple with f' > 0, but it nears a double root as
     # mu -> 2, |a| -> 1, where f' can round to <= 0 and the step is skipped.
+    # There f' is small, so f needs 1 - x^2 as (1 - x)(1 + x), exact to a
+    # rounding; 1 - x * x loses up to eps / (1 - x^2) of it and leaves the
+    # root about eps / f' from where it should be.
     for _ in range(2):
-        f = x * (1.0 - x * x) - mu * (a - x)
+        f = x * ((1.0 - x) * (1.0 + x)) - mu * (a - x)
         fprime = 1.0 + mu - 3.0 * x * x
         if f == 0.0 or fprime <= 0.0:
             break
@@ -111,57 +132,108 @@ def cubic_solve(mu: float, a: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
-def _norm_residual(lam: float, s: np.ndarray, xi_hat: np.ndarray) -> float:
+def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, list[float]]:
+    """r(lam) = sum x_i^2 - 1, its slope dr/dlam, the largest |dx_i/dlam| and
+    the roots x_i, from one ``cubic_solve`` per component.
+
+    dx_i/dlam = s_i dx/dmu with dx/dmu = (a - x)/(1 + mu - 3x^2) at
+    mu_i = lam s_i, and dr/dlam = sum 2 x_i dx_i/dlam.  For |a_i| = 1 that
+    ratio is 0/0 at the kink mu_i = 2 where x_i reaches the boundary, so the
+    factored form 1/(1 + 2|x|) is used up to the kink, and 0 above it.
+    """
     total = 0.0
-    for i in range(3):
-        x = cubic_solve(lam * s[i], xi_hat[i])
-        total += x * x
-    return total - 1.0
-
-
-def _solve_lambda(s: np.ndarray, xi_hat: np.ndarray) -> tuple[float, int]:
-    lam_lo = 1e-12
-    r_lo = _norm_residual(lam_lo, s, xi_hat)
-    if r_lo > 0.0:
-        raise SolverError(f"residual already positive at lam={lam_lo}")
-    lam_hi = 1.0
-    r_hi = _norm_residual(lam_hi, s, xi_hat)
-    doublings = 0
-    while r_hi <= 0.0:
-        if r_hi >= -LAMBDA_RESIDUAL_TOL:
-            # Already a root; also the only exit for a float vector on the
-            # sphere whose norm^2 rounds above 1, where r never turns positive.
-            return lam_hi, 0
-        lam_lo, r_lo = lam_hi, r_hi
-        lam_hi *= 2.0
-        doublings += 1
-        if doublings > MAX_BRACKET_DOUBLINGS:
-            raise SolverError("failed to bracket the multiplier; input outside contract?")
-        r_hi = _norm_residual(lam_hi, s, xi_hat)
-
-    lam, r = lam_lo, r_lo
-    iterations = 0
-    while abs(r) > LAMBDA_RESIDUAL_TOL and iterations < MAX_BISECT_ITERATIONS:
-        lam = 0.5 * (lam_lo + lam_hi)
-        r = _norm_residual(lam, s, xi_hat)
-        if r < 0.0:
-            lam_lo, r_lo = lam, r
+    slope = 0.0
+    rate = 0.0
+    x = []
+    for s_i, a_i in zip(s, xi_hat):
+        mu = lam * s_i
+        if mu == 0.0:
+            # lam * s_i underflowed: the root is 0 and adds nothing to the sums
+            x.append(0.0)
+            continue
+        x_i = cubic_solve(mu, a_i)
+        if abs(a_i) == 1.0:
+            dx = a_i / (1.0 + 2.0 * abs(x_i)) if mu <= 2.0 else 0.0
         else:
-            lam_hi, r_hi = lam, r
-        iterations += 1
+            curvature = 1.0 + mu - 3.0 * x_i * x_i
+            # positive at the simple root; rounding near the double root can
+            # zero it, and an infinite slope then forces a bisection step
+            dx = (a_i - x_i) / curvature if curvature > 0.0 else math.inf
+        total += x_i * x_i
+        slope += 2.0 * x_i * s_i * dx
+        rate = max(rate, abs(s_i * dx))
+        x.append(x_i)
+    return total - 1.0, slope, rate, x
 
-    # Secant polish on the final bracket, kept only if it actually helps.
-    if abs(r) > 0.0 and r_hi != r_lo:
-        lam_sec = lam_lo - r_lo * (lam_hi - lam_lo) / (r_hi - r_lo)
-        if lam_lo < lam_sec < lam_hi:
-            r_sec = _norm_residual(lam_sec, s, xi_hat)
-            iterations += 1
-            if abs(r_sec) < abs(r):
-                lam, r = lam_sec, r_sec
 
-    if abs(r) > LAMBDA_RESIDUAL_TOL:
-        raise SolverError(f"multiplier residual {r} above tolerance after {iterations} iterations")
-    return lam, iterations
+def _norm_residual(lam: float, s: np.ndarray, xi_hat: np.ndarray) -> float:
+    return _evaluate(lam, s, xi_hat)[0]
+
+
+def _solve_lambda(s: np.ndarray, xi_hat: np.ndarray) -> tuple[float, int, list[float]]:
+    """Root of r(lam) by Newton steps kept inside a bracket (rtsafe).
+
+    Returns the multiplier, the number of residual evaluations and the roots
+    x_i at the multiplier.  r rises from r(0) = -1 to r(inf) = |xi_hat|^2 - 1
+    > 0, so [0, inf] brackets the root from the start.  A Newton step that
+    leaves the bracket, or is longer than half the step before last, is
+    replaced by a bisection in log lam: the geometric mean of a finite
+    bracket, or a factor 2, 4, 16, 256, ... past its finite end, so the
+    bracket spans the whole float range within a dozen evaluations.  r has a
+    kink wherever a component with |a_i| = 1 reaches the boundary; a step
+    across such a point evaluates the point instead, so Newton runs on one
+    smooth piece.
+    """
+    s = s.tolist()
+    a = xi_hat.tolist()
+    kinks = [2.0 / s_i for s_i, a_i in zip(s, a) if abs(a_i) == 1.0]
+    # For large mu_i, x_i^2 ~ a_i^2 - 2 a_i^2 (1 - a_i^2) / (lam s_i), so
+    # r ~ excess - spread / lam: a close start for points just outside
+    excess = norm_squared(xi_hat) - 1.0
+    spread = sum(2.0 * a_i * a_i * (1.0 - a_i * a_i) / s_i for s_i, a_i in zip(s, a))
+    # weights may sum to 1 + 1e-12: keep every mu_i = lam s_i finite
+    lam_max = _FLOAT_MAX / max(1.0, *s)
+    lam = min([spread / excess if spread > 0.0 else 1.0 / max(s), *kinks, lam_max])
+    lo, hi = 0.0, math.inf
+    growth = 2.0
+    step = step_before = math.inf
+    for evaluations in range(1, MAX_RESIDUAL_EVALUATIONS + 1):
+        r, slope, rate, x = _evaluate(lam, s, a)
+        # |r| within tolerance, and a Newton step would move no x_i by more
+        # than _ROOT_STEP_TOL, or r is down at its own rounding; the first
+        # is also the exit for a float vector on the sphere whose norm^2
+        # rounds above 1, where r never turns positive
+        if abs(r) <= LAMBDA_RESIDUAL_TOL and (
+            abs(r) <= _RESIDUAL_FLOOR or rate * abs(r) <= _ROOT_STEP_TOL * slope
+        ):
+            return lam, evaluations, x
+        if r < 0.0:
+            lo = lam
+        else:
+            hi = lam
+        newton = lam - r / slope if slope > 0.0 else math.nan
+        if lo < newton < hi and abs(newton - lam) <= 0.5 * step_before:
+            trial = newton
+        elif hi == math.inf:
+            if lo == lam_max:
+                raise InvalidInputError(
+                    f"weights {s} are too uneven: the multiplier exceeds the float range"
+                )
+            trial = min(lo * growth, lam_max)
+            growth *= growth
+        elif lo == 0.0:
+            trial = hi / growth
+            growth *= growth
+        else:
+            trial = math.sqrt(lo) * math.sqrt(hi)
+        crossed = [kink for kink in kinks if lo < kink < hi and (kink < lam) != (kink < trial)]
+        if crossed:
+            trial = min(crossed, key=lambda kink: abs(kink - lam))
+        if not lo < trial < hi:
+            raise SolverError(f"multiplier bracket [{lo}, {hi}] closed at residual {r}")
+        step_before, step = step, abs(trial - lam)
+        lam = trial
+    raise SolverError(f"multiplier residual {r} above tolerance after {evaluations} evaluations")
 
 
 def solve_lambda(s: WeightVector, xi_hat: StokesVector) -> float:
@@ -193,20 +265,19 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
             lambda_star=None,
             norm_residual=abs(nsq - 1.0),
             equation_residuals=None,
-            iterations=0,
+            residual_evaluations=0,
         )
-    lam, iterations = _solve_lambda(s, xi_hat)
-    x = np.array([cubic_solve(lam * s[i], xi_hat[i]) for i in range(3)])
-    residuals = tuple(
-        abs(x[i] * (1.0 - x[i] ** 2) - lam * s[i] * (xi_hat[i] - x[i])) for i in range(3)
-    )
+    lam, evaluations, x = _solve_lambda(s, xi_hat)
+    x = np.array(x)
+    mu = lam * s
+    residuals = np.abs(x * (1.0 - x * x) - mu * (xi_hat - x)) / (1.0 + mu)
     return ProjectionResult(
         xi_star=x,
         was_projected=True,
         lambda_star=lam,
         norm_residual=abs(norm_squared(x) - 1.0),
-        equation_residuals=residuals,
-        iterations=iterations,
+        equation_residuals=tuple(residuals.tolist()),
+        residual_evaluations=evaluations,
     )
 
 
@@ -219,7 +290,7 @@ def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int)
         raise InvalidInputError("trajectories are only defined for points outside the unit ball")
     if n_samples < 2:
         raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
-    lam_star, _ = _solve_lambda(s, xi_hat)
+    lam_star = _solve_lambda(s, xi_hat)[0]
     points = np.zeros((n_samples, 3))
     for k, lam in enumerate(np.linspace(0.0, lam_star, n_samples)[1:], start=1):
         points[k] = [cubic_solve(lam * s[i], xi_hat[i]) for i in range(3)]

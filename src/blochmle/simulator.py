@@ -18,6 +18,11 @@ from .infogeo import _six_outcome
 
 MODES = ("standard", "randomized")
 
+# Uniforms are drawn this many at a time, so memory stays flat in n_shots;
+# consecutive draws from one generator continue the same stream, so the
+# counts equal those of a single draw of n_shots.
+DRAW_CHUNK = 1 << 16
+
 # Grace for pure states normalized in floating point (norm^2 = 1 +/- few ulp).
 _NORM_SLACK = 1e-12
 
@@ -65,6 +70,11 @@ def _axis_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(child)) for child in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _uniform_chunks(rng: np.random.Generator, n: int):
+    for start in range(0, n, DRAW_CHUNK):
+        yield rng.random(min(DRAW_CHUNK, n - start))
+
+
 def simulate(spec: SimulationSpec) -> CountRecord:
     """Draw counts for the given spec; bit-identical for identical specs.
 
@@ -77,8 +87,8 @@ def simulate(spec: SimulationSpec) -> CountRecord:
         n_plus = []
         for axis, rng in enumerate(_axis_streams(spec.seed, 3)):
             p_up = min(max((1.0 + xi[axis]) / 2.0, 0.0), 1.0)
-            u = rng.random(spec.n_shots)
-            n_plus.append(int(np.count_nonzero(u < p_up)))
+            chunks = _uniform_chunks(rng, spec.n_shots)
+            n_plus.append(sum(int(np.count_nonzero(u < p_up)) for u in chunks))
         n_minus = [spec.n_shots - p for p in n_plus]
         return CountRecord(tuple(n_plus), tuple(n_minus))
 
@@ -86,6 +96,8 @@ def simulate(spec: SimulationSpec) -> CountRecord:
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
-    u = rng.random(spec.n_shots)
-    tallies = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=6)
+    tallies = sum(
+        np.bincount(np.searchsorted(cdf, u, side="right"), minlength=6)
+        for u in _uniform_chunks(rng, spec.n_shots)
+    )
     return CountRecord(tuple(int(t) for t in tallies[0::2]), tuple(int(t) for t in tallies[1::2]))

@@ -86,6 +86,15 @@ class TestEstimateReport:
         assert "lambda_star" not in report
         assert report["kl_empirical_to_mle"] == 0.0
 
+    def test_solver_fields(self):
+        # (2,5,9)/(20,17,13) lies on the sphere but rounds just outside, so
+        # lambda_star is ~1e16, where unscaled residuals would read up to 0.19
+        report = build_estimate_report(CountRecord((2, 5, 9), (20, 17, 13)))
+        assert report["was_projected"] and "iterations" not in report
+        assert report["residual_evaluations"] >= 1
+        assert max(report["equation_residuals"]) < 1e-10
+        assert build_estimate_report(RECORD)["residual_evaluations"] == 0
+
     def test_zero_component_preserved(self):
         report = build_estimate_report(CountRecord((100, 65, 50), (0, 35, 50)))
         assert report["was_projected"]

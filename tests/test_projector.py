@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blochmle import projector
 from blochmle.checks import (
     cubic_grid_residuals,
     equivariance_defect,
@@ -28,6 +30,10 @@ EQUAL = np.array([1 / 3, 1 / 3, 1 / 3])
 CUBIC_MU1_A05 = 0.25865202250415276
 LAMBDA_SYMMETRIC = 5.186175317511091
 
+# (2,5,9)/(20,17,13): xi_hat has norm exactly 1, but its float norm^2 rounds
+# to 1 + 2.2e-16, so it is projected at a multiplier of about 1e16
+ON_SPHERE = CountRecord((2, 5, 9), (20, 17, 13))
+
 
 def bisect_root(mu, a, iterations=200):
     """Independent oracle: plain bisection of x(1-x^2) - mu(a-x) on [-1, 1]."""
@@ -41,6 +47,71 @@ def bisect_root(mu, a, iterations=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_projection(xi_hat, s, iterations=200):
+    """Independent reference for the multiplier solve: plain bisection of the
+    norm residual in log lam over the whole positive float range (weights
+    at most 1).  Returns the multiplier found and the roots x_i there, or
+    None when the residual is still below -1e-12 at the largest float, so
+    that no float multiplier solves the constraint."""
+
+    def roots(lam):
+        return np.array([0.0 if lam * s_i == 0.0 else cubic_solve(lam * s_i, a_i) for s_i, a_i in zip(s, xi_hat)])
+
+    def residual(lam):
+        return float(np.sum(roots(lam) ** 2)) - 1.0
+
+    if residual(sys.float_info.max) < -1e-12:
+        return None
+    lo, hi = math.log(5e-324), math.log(sys.float_info.max)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if residual(math.exp(mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(hi), roots(math.exp(hi))
+
+
+def rounding_spread(xi_hat, s, lam, x):
+    """How far each x_i moves along the solution curve lam -> x(lam) while
+    r = sum x_i^2 - 1 moves by 8 eps: the solver may stop anywhere r is at
+    its rounding level, |r| <= 4 eps, and the reference places its sign
+    change only to that rounding too.  No solver can place xi_star more
+    closely than this.  It matters only where a small component carries
+    most of dr/dlam, e.g. xi_hat = (0, 1, 1 - 2^-53) with weights
+    (1e-300, 1e-300, 1), where x_2 = sqrt(1 - x_3^2) ~ 1.5e-8 is fixed by a
+    difference that rounds to 0 or 2.2e-16."""
+    mu = lam * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx_dmu = np.where(
+            np.abs(xi_hat) == 1.0,
+            np.sign(xi_hat) * np.where(mu < 2.0, 1.0 / (1.0 + 2.0 * np.abs(x)), 0.0),
+            (xi_hat - x) / (1.0 + mu - 3.0 * x * x),
+        )
+        rate = np.abs(s * dx_dmu)
+        rate /= np.max(rate)  # dx_i/dlam can be denormal for weights near 1e-300
+        spread = 8.0 * np.finfo(float).eps * rate / np.sum(2.0 * np.abs(x) * rate)
+    return np.nan_to_num(spread, nan=np.inf)
+
+
+def assert_matches_reference(xi_hat, s):
+    """project_mle agrees with ``reference_projection`` to 1e-10 (plus the
+    ``rounding_spread`` of an ill-conditioned instance) and passes the
+    residual gates, or refuses, naming the weights, exactly when no float
+    multiplier exists."""
+    expected = reference_projection(xi_hat, s)
+    if expected is None:
+        with pytest.raises(InvalidInputError, match="weights"):
+            project_mle(xi_hat, s)
+        return
+    lam, x = expected
+    res = project_mle(xi_hat, s)
+    assert res.was_projected and res.residual_evaluations >= 1
+    assert np.all(np.abs(res.xi_star - x) < 1e-10 + rounding_spread(xi_hat, s, lam, x))
+    assert res.norm_residual < 1e-10
+    assert max(res.equation_residuals) < 1e-10
 
 
 class TestCubicSolve:
@@ -59,6 +130,11 @@ class TestCubicSolve:
 
     def test_large_mu_limit(self):
         assert cubic_solve(1000.0, 0.7) == pytest.approx(0.7, abs=1e-3)
+
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_pure_component_at_the_largest_mu(self, a):
+        # the root is a itself for every mu >= 2; 4 mu overflows up here
+        assert cubic_solve(sys.float_info.max, a) == a
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
@@ -184,11 +260,87 @@ class TestProjectMle:
 
     def test_float_vector_on_the_sphere(self):
         # norm exactly 1, but its float norm^2 rounds to 1 + 2.2e-16
-        xi_hat, s_hat = temporal_estimate(CountRecord((2, 5, 9), (20, 17, 13)))
+        xi_hat, s_hat = temporal_estimate(ON_SPHERE)
         assert norm_squared(xi_hat) > 1.0
         res = project_mle(xi_hat, s_hat)
         assert res.norm_residual < 1e-10
         assert np.max(np.abs(res.xi_star - xi_hat)) < 1e-12
+
+    def test_residual_evaluations_count_every_evaluation(self, monkeypatch):
+        # each evaluation of r(lam) is one cubic_solve per component, and the
+        # projection reuses the roots of the accepted one
+        calls = []
+        real = projector.cubic_solve
+        monkeypatch.setattr(projector, "cubic_solve", lambda mu, a: calls.append(mu) or real(mu, a))
+        res = project_mle(*temporal_estimate(ON_SPHERE))
+        assert res.residual_evaluations >= 1
+        assert len(calls) == 3 * res.residual_evaluations
+        calls.clear()
+        interior = project_mle(np.array([0.6, 0.0, 0.3]), EQUAL)
+        assert interior.residual_evaluations == 0 and calls == []
+
+    @pytest.mark.parametrize(
+        "xi_hat, s",
+        [
+            temporal_estimate(ON_SPHERE),
+            # mu ~ 1e9: unscaled, one residual reads 1.9e-8
+            (np.array([1.0, -1.0, 0.5]), np.array([1e-9, 1e-9, 1.0 - 2e-9])),
+        ],
+    )
+    def test_equation_residuals_scaled_by_one_plus_mu(self, xi_hat, s):
+        res = project_mle(xi_hat, s)
+        x, mu = res.xi_star, res.lambda_star * s
+        expected = np.abs(x * (1.0 - x * x) - mu * (xi_hat - x)) / (1.0 + mu)
+        np.testing.assert_array_equal(res.equation_residuals, expected)
+        assert max(res.equation_residuals) < 1e-10
+
+    @pytest.mark.parametrize(
+        "n_plus, n_minus",
+        [((398, 41, 248), (0, 56, 253)), ((9, 117, 0), (13, 115, 94))],
+    )
+    def test_root_just_below_a_pure_axis_kink(self, n_plus, n_minus):
+        # |xi_i| = 1 puts a kink in r(lam) at lam = 2/s_i, just above the
+        # root; Newton steps that cross it with the slope of the other side
+        # converge slowly, so the solve evaluates the kink first
+        xi_hat, s_hat = temporal_estimate(CountRecord(n_plus, n_minus))
+        res = project_mle(xi_hat, s_hat)
+        assert res.residual_evaluations <= 6
+        assert_matches_reference(xi_hat, s_hat)
+
+    def test_nearest_kink_first(self):
+        # kinks at lam = 2e75 and 2e300, both above the first Newton step's
+        # start; the root is at the nearer one, where x_1 = 2e-225.  Past it
+        # only x_1 moves, and r stays at rounding level up to x_1 ~ 1.5e-8.
+        res = project_mle(np.array([1.0, 1.0, 7.765648718449669e-77]), np.array([1e-300, 1e-75, 1.0]))
+        assert 0.0 < res.xi_star[0] < 1e-200
+        np.testing.assert_allclose(res.xi_star[1:], [1.0, 7.765648718449669e-77], rtol=1e-15)
+        assert res.residual_evaluations <= 3
+
+    @pytest.mark.parametrize(
+        "xi_hat, s, expected",
+        [
+            ((0.8, 0.8, 0.0), (1e-300, 0.5, 0.5), (0.6, 0.8, 0.0)),
+            ((0.9, 0.9, 0.1), (1e-300, 1e-300, 1.0 - 2e-300), (0.99**0.5 / 2**0.5, 0.99**0.5 / 2**0.5, 0.1)),
+        ],
+    )
+    def test_multiplier_near_the_float_limit(self, xi_hat, s, expected):
+        # lam* ~ 1.9e300, near the top of the float range
+        xi_hat, s = np.array(xi_hat), np.array(s)
+        assert_matches_reference(xi_hat, s)
+        np.testing.assert_allclose(project_mle(xi_hat, s).xi_star, expected, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "s, named",
+        [
+            ((5e-324, 0.5, 0.5), r"weights \[5e-324, 0.5, 0.5\]"),
+            # weights may sum to 1 + 1e-12; lam * s_2 must not overflow on the way
+            ((5e-324, 1.0 + 5e-13, 5e-324), r"weights \[5e-324, 1.0000000000005, 5e-324\]"),
+        ],
+    )
+    def test_multiplier_beyond_the_float_range_is_refused(self, s, named):
+        # the root needs lam ~ 1.92 / 5e-324 ~ 4e323: no float reaches it
+        with pytest.raises(InvalidInputError, match=named):
+            project_mle(np.array([0.8, 0.8, 0.0]), np.array(s))
 
 
 class TestTrajectory:
@@ -226,3 +378,48 @@ def test_projection_properties(xi_hat):
         else:
             assert math.copysign(1.0, res.xi_star[i]) == math.copysign(1.0, xi_hat[i])
             assert abs(res.xi_star[i]) <= abs(xi_hat[i])
+
+
+# Hard regions of the multiplier solve: weights down to 1e-300, components
+# at exactly 0 and +-1, and points just outside the sphere, whose multiplier
+# puts mu_i = lam s_i anywhere up to 1e18 and beyond.
+components = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+small_weight = st.one_of(
+    st.just(1e-300), st.floats(-300.0, -0.5).map(lambda e: 10.0**e), st.floats(1e-300, 0.3)
+)
+hard_weights = st.tuples(small_weight, small_weight, st.permutations(range(3))).map(
+    lambda t: np.array([t[0], t[1], 1.0 - t[0] - t[1]])[list(t[2])]
+)
+
+
+def _just_outside(direction, log_excess):
+    v = np.asarray(direction)
+    return v / math.sqrt(norm_squared(v)) * (1.0 + 10.0**log_excess)
+
+
+@given(
+    st.lists(components, min_size=3, max_size=3).map(np.asarray).filter(lambda v: norm_squared(v) > 1.0),
+    hard_weights,
+)
+# x_3 = 1 - 7.6e-6 near the cubic's double root, where 1 - x * x loses the
+# digits that the root needs
+@example(xi_hat=np.array([0.0, 1.0, 1.0 - 2.0**-53]), s=np.array([1e-300, 2.0**-9, 1.0 - 2.0**-9]))
+@settings(max_examples=150, deadline=None)
+def test_hard_weights_match_log_bisection(xi_hat, s):
+    assert_matches_reference(xi_hat, s)
+
+
+@given(
+    st.tuples(
+        st.lists(components, min_size=3, max_size=3).filter(lambda v: norm_squared(v) > 0.0),
+        st.floats(-16.0, -1.0),
+    )
+    .map(lambda t: _just_outside(*t))
+    .filter(lambda v: np.all(np.abs(v) <= 1.0) and norm_squared(v) > 1.0),
+    hard_weights,
+)
+# x_2 ~ 6e-5 carries all of dr/dlam, so |r| <= 1e-12 alone leaves it 3e-9 off
+@example(xi_hat=_just_outside([0.0, 2.0**-14, 1.0], -10.0), s=np.array([1e-300, 1e-300, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_near_sphere_large_mu_match_log_bisection(xi_hat, s):
+    assert_matches_reference(xi_hat, s)

@@ -3,7 +3,7 @@ import pytest
 
 from blochmle.checks import consistency_errors, reproducibility_ok, weight_lln_defect
 from blochmle.core import CountRecord, InvalidInputError, temporal_estimate
-from blochmle.simulator import SimulationSpec, simulate
+from blochmle.simulator import DRAW_CHUNK, SimulationSpec, simulate
 
 
 def test_spec_validation():
@@ -49,6 +49,28 @@ def test_reproducibility():
 def test_frozen_counts(spec, expected):
     # pinned across versions: the determinism contract is platform- and
     # release-independent, not only within one process
+    assert simulate(spec) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            SimulationSpec(xi_true=(0.3, -0.2, 0.5), mode="standard", n_shots=200_003, seed=11),
+            CountRecord((130054, 80190, 150010), (69949, 119813, 49993)),
+        ),
+        (
+            SimulationSpec(
+                xi_true=(0.3, -0.2, 0.5), mode="randomized", n_shots=200_003, weights=(0.5, 0.3, 0.2), seed=11
+            ),
+            CountRecord((64712, 24109, 30127), (34805, 36194, 10056)),
+        ),
+    ],
+)
+def test_frozen_counts_across_draw_chunks(spec, expected):
+    # several chunks of uniforms plus a remainder; pinned from a single
+    # draw of n_shots, which the chunked draws must reproduce exactly
+    assert spec.n_shots > 3 * DRAW_CHUNK and spec.n_shots % DRAW_CHUNK != 0
     assert simulate(spec) == expected
 
 
