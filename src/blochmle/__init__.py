@@ -1,72 +1,61 @@
 """Maximum-likelihood correction of qubit tomography counts by orthogonal
-projection onto the Bloch sphere under the information metric."""
+projection onto the Bloch sphere under the information metric.
 
-from .core import (
-    CountRecord,
-    InvalidInputError,
-    SolverError,
-    StokesVector,
-    WeightVector,
-    norm_squared,
-    stokes_vector,
-    temporal_estimate,
-    weight_vector,
-)
-from .infogeo import (
-    DualCoordinates,
-    FiniteDistribution,
-    canonical_divergence,
-    dual_coordinates,
-    finite_distribution,
-    fisher_metric,
-    foliation_coordinates,
-    foliation_orthogonality_defect,
-    kl_divergence,
-    product_distribution,
-    randomized_distribution,
-)
-from .oracle import OracleConfig, empirical_kl, negative_log_likelihood, oracle_mle
-from .projector import (
-    ProjectionResult,
-    cubic_solve,
-    project_mle,
-    projection_trajectory,
-    solve_lambda,
-)
-from .simulator import SimulationSpec, simulate
+The public names load lazily (PEP 562): each submodule is imported the
+first time one of its names is used, so ``import blochmle`` and the
+``estimate`` path do not load numpy.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CountRecord",
-    "DualCoordinates",
-    "FiniteDistribution",
-    "InvalidInputError",
-    "OracleConfig",
-    "ProjectionResult",
-    "SimulationSpec",
-    "SolverError",
-    "StokesVector",
-    "WeightVector",
-    "canonical_divergence",
-    "cubic_solve",
-    "dual_coordinates",
-    "empirical_kl",
-    "finite_distribution",
-    "fisher_metric",
-    "foliation_coordinates",
-    "foliation_orthogonality_defect",
-    "kl_divergence",
-    "negative_log_likelihood",
-    "norm_squared",
-    "oracle_mle",
-    "product_distribution",
-    "project_mle",
-    "projection_trajectory",
-    "randomized_distribution",
-    "simulate",
-    "solve_lambda",
-    "stokes_vector",
-    "temporal_estimate",
-    "weight_vector",
-]
+# public name -> submodule that defines it
+_SOURCES = {
+    "CountRecord": "core",
+    "InvalidInputError": "core",
+    "SolverError": "core",
+    "StokesVector": "core",
+    "WeightVector": "core",
+    "empirical_kl": "core",
+    "norm_squared": "core",
+    "stokes_vector": "core",
+    "temporal_estimate": "core",
+    "weight_vector": "core",
+    "DualCoordinates": "infogeo",
+    "FiniteDistribution": "infogeo",
+    "canonical_divergence": "infogeo",
+    "dual_coordinates": "infogeo",
+    "finite_distribution": "infogeo",
+    "fisher_metric": "infogeo",
+    "foliation_coordinates": "infogeo",
+    "foliation_orthogonality_defect": "infogeo",
+    "kl_divergence": "infogeo",
+    "product_distribution": "infogeo",
+    "randomized_distribution": "infogeo",
+    "OracleConfig": "oracle",
+    "negative_log_likelihood": "oracle",
+    "oracle_mle": "oracle",
+    "ProjectionResult": "projector",
+    "cubic_solve": "projector",
+    "project_mle": "projector",
+    "projection_trajectory": "projector",
+    "solve_lambda": "projector",
+    "SimulationSpec": "simulator",
+    "simulate": "simulator",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *_SOURCES])

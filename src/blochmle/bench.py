@@ -61,7 +61,7 @@ def run_benchmark(trials: int, seed: int = 0, config: OracleConfig | None = None
         direct = oracle_mle(xi_hat, weights, config)
         t2 = time.perf_counter()
 
-        discrepancy = float(np.max(np.abs(projected.xi_star - direct)))
+        discrepancy = float(np.max(np.abs(np.asarray(projected.xi_star) - direct)))
         rows.append(BenchTrial(index, (t1 - t0) * 1e3, (t2 - t1) * 1e3, discrepancy))
 
     proj = np.array([r.projection_ms for r in rows])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import norm_squared, temporal_estimate
+from .core import empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
     _score_derivatives,
     canonical_divergence,
@@ -24,7 +24,6 @@ from .infogeo import (
     product_distribution,
     randomized_distribution,
 )
-from .oracle import empirical_kl
 from .projector import cubic_solve, project_mle, solve_lambda
 from .simulator import SimulationSpec, simulate
 
@@ -204,8 +203,7 @@ def projection_orthogonality_defect(n=200, seed=0) -> float:
     while checked < n:
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
-        res = project_mle(xi_hat, s)
-        x = res.xi_star
+        x = np.asarray(project_mle(xi_hat, s).xi_star)
         if np.any(1.0 - np.abs(x) < 1e-12):
             continue  # metric singular; algebraic solution still returned
         checked += 1
@@ -247,7 +245,7 @@ def equivariance_defect(n=100, seed=0) -> float:
     for _ in range(n):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
-        x = project_mle(xi_hat, s).xi_star
+        x = np.asarray(project_mle(xi_hat, s).xi_star)
 
         perm = rng.permutation(3)
         x_perm = project_mle(xi_hat[perm], s[perm]).xi_star
@@ -352,7 +350,7 @@ def consistency_errors(
                 seed=base_seed + 100000 * idx + k,
             )
             xi_hat, s_hat = temporal_estimate(simulate(spec))
-            x = project_mle(xi_hat, s_hat).xi_star
+            x = np.asarray(project_mle(xi_hat, s_hat).xi_star)
             errs[k] = math.sqrt(norm_squared(x - np.asarray(xi_true)))
         errors[n] = errs
     log_n = np.log(np.asarray(n_values, dtype=float))

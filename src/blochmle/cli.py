@@ -5,6 +5,9 @@ Subcommands: ``estimate`` (counts file -> JSON report), ``simulate``
 ``trajectories`` (plot-ready projection curves), ``check`` (seeded
 invariant suites).  Exit codes: 0 success, 1 failed invariant,
 2 bad input, 3 internal numerical failure.
+
+The modules that need numpy (simulator, bench, checks) are imported inside
+the subcommands that use them, so an ``estimate`` process never loads it.
 """
 
 from __future__ import annotations
@@ -12,12 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
+import math
 import sys
 
-import numpy as np
-
-from .bench import DISCREPANCY_TOL, run_benchmark
-from .checks import SUITES, run_suites
 from .core import InvalidInputError, SolverError, norm_squared, weight_vector
 from .io import (
     build_estimate_report,
@@ -27,7 +27,6 @@ from .io import (
     report_to_json,
 )
 from .projector import projection_trajectory
-from .simulator import SimulationSpec, simulate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,6 +34,10 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 PLANES = {"xi1xi2": (0, 1, 2), "xi1xi3": (0, 2, 1), "xi2xi3": (1, 2, 0)}
+
+# The keys of checks.SUITES, named here so that parsing ``check --suite``
+# does not import checks (and numpy).
+SUITE_NAMES = ("infogeo", "projector", "simulator")
 
 
 def _read_input(path: str) -> str:
@@ -65,12 +68,13 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
         raise InvalidInputError(f"{flag}: not numeric: {text!r}") from None
 
 
-def _parse_weights(text: str, flag: str) -> np.ndarray:
+def _parse_weights(text: str, flag: str) -> tuple[float, float, float]:
     # accepts ratios (e.g. 5,1,1) and normalizes them to fractions
-    ratios = np.asarray(_parse_triple(text, flag))
-    if np.any(ratios <= 0.0) or not np.all(np.isfinite(ratios)):
+    ratios = _parse_triple(text, flag)
+    if not all(math.isfinite(r) and r > 0.0 for r in ratios):
         raise InvalidInputError(f"{flag}: weights must be positive, got {text!r}")
-    return weight_vector(ratios / ratios.sum())
+    total = ratios[0] + ratios[1] + ratios[2]
+    return weight_vector([r / total for r in ratios])
 
 
 def _cmd_estimate(args) -> int:
@@ -81,7 +85,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    weights = tuple(_parse_weights(args.s, "--s")) if args.s is not None else None
+    from .simulator import SimulationSpec, simulate  # noqa: PLC0415 - see the module docstring
+
+    weights = _parse_weights(args.s, "--s") if args.s is not None else None
     spec = SimulationSpec(
         xi_true=_parse_triple(args.xi, "--xi"),
         mode=args.mode,
@@ -96,6 +102,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import DISCREPANCY_TOL, run_benchmark  # noqa: PLC0415 - see the module docstring
+
     if args.trials < 1:
         raise InvalidInputError(f"--trials must be >= 1, got {args.trials}")
     result = run_benchmark(args.trials, args.seed)
@@ -118,6 +126,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
+    import numpy as np  # noqa: PLC0415 - see the module docstring
+
     if args.grid < 1:
         raise InvalidInputError(f"--grid must be >= 1, got {args.grid}")
     if args.samples < 2:
@@ -144,6 +154,8 @@ def _cmd_trajectories(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import SUITES, run_suites  # noqa: PLC0415 - see the module docstring
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     outcomes = run_suites(names, args.seed)
     for outcome in outcomes:
@@ -195,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trajectories)
 
     p = sub.add_parser("check", help="run seeded invariant suites")
-    p.add_argument("--suite", choices=["all", *sorted(SUITES)], default="all")
+    p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 

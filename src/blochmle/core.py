@@ -1,23 +1,33 @@
 """Core domain types for qubit tomography counts and Stokes vectors.
 
-A Stokes vector is a plain float ndarray of shape (3,) with components in
+A Stokes vector is a tuple of three Python floats with components in
 [-1, 1]; a weight vector holds the per-axis measurement fractions, positive
 and summing to 1.  The validating constructors below are the single place
 those conventions are enforced, so downstream numerics can assume them.
+They accept any 3-sequence of real numbers (lists, tuples, numpy arrays and
+numpy scalars) and return plain floats.
+
+One record's estimate is three numbers, so this module, the projector and
+the report work in plain floats and never import numpy: a ``blochmle
+estimate`` process does not pay for loading it.  Modules that work on
+arrays (the oracle, information geometry, simulator, checks and bench)
+convert with ``np.asarray`` where they need to.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-# Shape-(3,) float arrays; see the module docstring for the conventions.
-StokesVector = np.ndarray
-WeightVector = np.ndarray
+# Three floats each; see the module docstring for the conventions.
+StokesVector = tuple[float, float, float]
+WeightVector = tuple[float, float, float]
 
 WEIGHT_SUM_TOL = 1e-12
+
+# Text converts with float() but is not a number.
+_TEXT = (str, bytes)
 
 
 class InvalidInputError(ValueError):
@@ -69,29 +79,54 @@ class CountRecord:
         return sum(self.axis_totals)
 
 
+def _shape(values) -> tuple:
+    """The shape numpy would give ``values``, for error messages."""
+    shape = getattr(values, "shape", None)
+    if shape is not None:
+        return tuple(shape)
+    if isinstance(values, _TEXT) or not hasattr(values, "__len__"):
+        return ()
+    return (len(values),) + (_shape(values[0]) if len(values) else ())
+
+
+def _three_floats(values, what: str) -> tuple[float, float, float]:
+    """Three finite Python floats from a 3-sequence of real numbers, or an
+    ``InvalidInputError`` naming ``what``."""
+    try:
+        a, b, c = values
+        numbers = not (isinstance(a, _TEXT) or isinstance(b, _TEXT) or isinstance(c, _TEXT))
+        if numbers:
+            a, b, c = float(a), float(b), float(c)
+    except (TypeError, ValueError):
+        numbers = False
+    except OverflowError:  # an int beyond the float range
+        raise InvalidInputError(f"{what} has non-finite components") from None
+    if not numbers:
+        shape = _shape(values)
+        if shape != (3,):
+            raise InvalidInputError(f"{what} needs 3 components, got shape {shape}")
+        raise InvalidInputError(f"{what} needs 3 real numbers, got {values!r}")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise InvalidInputError(f"{what} has non-finite components")
+    return a, b, c
+
+
 def stokes_vector(components) -> StokesVector:
-    """Validate and return a Stokes vector as a float array of shape (3,)."""
-    xi = np.asarray(components, dtype=float)
-    if xi.shape != (3,):
-        raise InvalidInputError(f"Stokes vector needs 3 components, got shape {xi.shape}")
-    if not np.all(np.isfinite(xi)):
-        raise InvalidInputError("Stokes vector has non-finite components")
-    if np.any(np.abs(xi) > 1.0):
-        raise InvalidInputError(f"Stokes components must lie in [-1, 1], got {xi.tolist()}")
+    """Validate and return a Stokes vector as a tuple of three floats."""
+    xi = _three_floats(components, "Stokes vector")
+    if not (abs(xi[0]) <= 1.0 and abs(xi[1]) <= 1.0 and abs(xi[2]) <= 1.0):
+        raise InvalidInputError(f"Stokes components must lie in [-1, 1], got {list(xi)}")
     return xi
 
 
 def weight_vector(fractions) -> WeightVector:
     """Validate measurement fractions: strictly positive, summing to 1."""
-    s = np.asarray(fractions, dtype=float)
-    if s.shape != (3,):
-        raise InvalidInputError(f"weight vector needs 3 components, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidInputError("weight vector has non-finite components")
-    if np.any(s <= 0.0):
-        raise InvalidInputError(f"weights must be strictly positive, got {s.tolist()}")
-    if abs(s.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidInputError(f"weights must sum to 1 (got {s.sum()!r})")
+    s = _three_floats(fractions, "weight vector")
+    if not (s[0] > 0.0 and s[1] > 0.0 and s[2] > 0.0):
+        raise InvalidInputError(f"weights must be strictly positive, got {list(s)}")
+    total = s[0] + s[1] + s[2]
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise InvalidInputError(f"weights must sum to 1 (got {total!r})")
     return s
 
 
@@ -105,11 +140,34 @@ def temporal_estimate(counts: CountRecord) -> tuple[StokesVector, WeightVector]:
     """
     totals = counts.axis_totals
     total = sum(totals)
-    xi = [(p - m) / t for p, m, t in zip(counts.n_plus, counts.n_minus, totals)]
-    return np.array(xi), np.array([t / total for t in totals])
+    xi = tuple((p - m) / t for p, m, t in zip(counts.n_plus, counts.n_minus, totals))
+    return xi, tuple(t / total for t in totals)
 
 
 def norm_squared(xi) -> float:
-    """Squared Euclidean norm; the point is physical iff this is <= 1."""
-    xi = np.asarray(xi, dtype=float)
-    return float(np.dot(xi, xi))
+    """Squared Euclidean norm of a 3-vector, summed left to right; the point
+    is physical iff this is <= 1."""
+    a, b, c = xi
+    return float(a * a + b * b + c * c)
+
+
+def empirical_kl(xi_hat, s, xi) -> float:
+    """Weighted per-axis binary KL from the empirical estimate to one model
+    point; the objective whose sphere minimizer is the corrected estimate.
+
+    A term with empirical probability 0 drops out (0 log 0 = 0); a model
+    probability of 0 against a positive empirical one gives inf.  The
+    oracle's ``empirical_kl`` is the same sum over arrays of model points,
+    in the same order.
+    """
+    total = 0.0
+    for sign in (1.0, -1.0):
+        part = 0.0
+        for a, w, m in zip(xi_hat, s, xi):
+            p_hat = (1.0 + sign * a) / 2.0
+            if p_hat > 0.0:
+                p_model = min(1.0, max(0.0, (1.0 + sign * m) / 2.0))
+                term = p_hat * (math.log(p_hat) - math.log(p_model)) if p_model > 0.0 else math.inf
+                part += w * term
+        total += part
+    return total

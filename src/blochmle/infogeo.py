@@ -79,7 +79,7 @@ def product_distribution(xi) -> FiniteDistribution:
 def randomized_distribution(s: WeightVector, xi: StokesVector) -> FiniteDistribution:
     """6-outcome distribution of a randomized measurement: pick axis i with
     probability s_i, then observe +/-1 with probability (1 +/- xi_i)/2."""
-    s = weight_vector(s)
+    s = np.asarray(weight_vector(s))
     xi = _interior(xi)
     if xi.size != 3:
         raise InvalidInputError("randomized measurement needs all 3 axes")
@@ -136,7 +136,7 @@ def fisher_metric(xi: StokesVector, s: WeightVector) -> np.ndarray:
     coordinates: diag(s_i / (1 - xi_i^2)).  Scale is fixed to a single
     observation; the projection this metric drives is scale-invariant."""
     xi = _interior(xi)
-    s = weight_vector(s)
+    s = np.asarray(weight_vector(s))
     if xi.size != 3:
         raise InvalidInputError("Fisher metric is defined on the full 3-axis model")
     return np.diag(s / (1.0 - xi**2))

@@ -14,10 +14,8 @@ import io as _io
 import json
 import math
 
-import numpy as np
-
-from .core import CountRecord, InvalidInputError, norm_squared, temporal_estimate
-from .oracle import OracleConfig, empirical_kl, oracle_mle
+from .core import CountRecord, InvalidInputError, empirical_kl, norm_squared, temporal_estimate
+from .oracle import OracleConfig, oracle_mle
 from .projector import project_mle
 
 COUNTS_CSV_HEADER = ["axis", "n_plus", "n_minus"]
@@ -129,12 +127,12 @@ def build_estimate_report(
     xi_hat, s_hat = temporal_estimate(counts)
     result = project_mle(xi_hat, s_hat)
     report = {
-        "xi_hat": xi_hat.tolist(),
-        "s_hat": s_hat.tolist(),
+        "xi_hat": list(xi_hat),
+        "s_hat": list(s_hat),
         "xi_hat_norm": math.sqrt(norm_squared(xi_hat)),
         "was_projected": result.was_projected,
-        "xi_star": result.xi_star.tolist(),
-        "kl_empirical_to_mle": float(empirical_kl(xi_hat, s_hat, result.xi_star)),
+        "xi_star": list(result.xi_star),
+        "kl_empirical_to_mle": empirical_kl(xi_hat, s_hat, result.xi_star),
         "residual_evaluations": result.residual_evaluations,
     }
     if result.was_projected:
@@ -142,10 +140,10 @@ def build_estimate_report(
         report["norm_residual"] = result.norm_residual
         report["equation_residuals"] = list(result.equation_residuals)
     if with_oracle:
-        direct = oracle_mle(xi_hat, s_hat, oracle_config)
+        direct = oracle_mle(xi_hat, s_hat, oracle_config).tolist()
         report["oracle"] = {
-            "xi": direct.tolist(),
-            "max_discrepancy": float(np.max(np.abs(direct - result.xi_star))),
+            "xi": direct,
+            "max_discrepancy": max(abs(d - x) for d, x in zip(direct, result.xi_star)),
         }
     return report
 

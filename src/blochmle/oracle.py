@@ -6,13 +6,15 @@ states.  This module computes that minimizer the blunt way, by a
 deterministic nested grid search in spherical angles, sharing none of the
 projector's cubic/multiplier machinery, so the two can cross-check each
 other.  It is also the slow reference method for the timing comparison.
+
+numpy is imported inside the functions that use it, so that importing this
+module (as the estimate report does) does not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     CountRecord,
@@ -46,17 +48,22 @@ class OracleConfig:
             raise InvalidInputError("refine_iterations must be nonnegative")
 
 
-def _sphere_points(polar, azimuth) -> np.ndarray:
+def _sphere_points(polar, azimuth):
+    import numpy as np  # noqa: PLC0415 - see the module docstring
+
     sin_p = np.sin(polar)
     return np.stack(
         [sin_p * np.cos(azimuth), sin_p * np.sin(azimuth), np.cos(polar)], axis=-1
     )
 
 
-def empirical_kl(xi_hat, s, xi) -> float | np.ndarray:
-    """Weighted per-axis binary KL from the empirical estimate to a model
-    point; the objective whose sphere minimizer is the corrected estimate.
-    Broadcasts over trailing-axis-3 arrays of model points."""
+def empirical_kl(xi_hat, s, xi):
+    """``core.empirical_kl`` over an array of model points: the weighted
+    per-axis binary KL from the empirical estimate to each point, the
+    search's objective.  Broadcasts over trailing-axis-3 arrays; returns a
+    float for a single point."""
+    import numpy as np  # noqa: PLC0415 - see the module docstring
+
     xi_hat = np.asarray(xi_hat, dtype=float)
     s = np.asarray(s, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -70,13 +77,15 @@ def empirical_kl(xi_hat, s, xi) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _minimize_on_sphere(objective, config: OracleConfig, history: list | None = None) -> np.ndarray:
+def _minimize_on_sphere(objective, config: OracleConfig, history: list | None = None):
     """Coarse scan in spherical angles, then iterated window refinement.
 
     Ties go to the lowest grid index (np.argmin); the incumbent is replaced
     only by a strictly better point, so its objective value is
-    non-increasing across iterations.
+    non-increasing across iterations.  Returns the point as a numpy array.
     """
+    import numpy as np  # noqa: PLC0415 - see the module docstring
+
     g = config.coarse_grid
     polar = (np.arange(g) + 0.5) * (np.pi / g)
     azimuth = np.arange(g) * (2.0 * np.pi / g)
@@ -108,18 +117,21 @@ def _minimize_on_sphere(objective, config: OracleConfig, history: list | None = 
     return _sphere_points(np.asarray(best_polar), np.asarray(best_azimuth))
 
 
-def oracle_mle(xi_hat: StokesVector, s: WeightVector, config: OracleConfig | None = None) -> StokesVector:
-    """Corrected estimate by direct objective minimization on the sphere.
+def oracle_mle(xi_hat: StokesVector, s: WeightVector, config: OracleConfig | None = None):
+    """Corrected estimate by direct objective minimization on the sphere, as
+    a numpy array of shape (3,).
 
     Physical inputs (norm <= 1) are returned unchanged, mirroring the
     projector's identity case.
     """
-    xi_hat = stokes_vector(xi_hat)
-    s = weight_vector(s)
+    import numpy as np  # noqa: PLC0415 - see the module docstring
+
+    xi_hat = np.array(stokes_vector(xi_hat))
+    s = np.array(weight_vector(s))
     if config is None:
         config = OracleConfig()
     if norm_squared(xi_hat) <= 1.0:
-        return xi_hat.copy()
+        return xi_hat
     return _minimize_on_sphere(lambda pts: empirical_kl(xi_hat, s, pts), config)
 
 
@@ -136,12 +148,12 @@ def negative_log_likelihood(xi: StokesVector, counts: CountRecord) -> float:
         if counts.n_plus[i] > 0:
             if xi[i] <= -1.0:
                 raise InvalidInputError(f"axis {i + 1}: xi = -1 has zero likelihood for n_plus > 0")
-            total -= counts.n_plus[i] * np.log((1.0 + xi[i]) / 2.0)
+            total -= counts.n_plus[i] * math.log((1.0 + xi[i]) / 2.0)
         if counts.n_minus[i] > 0:
             if xi[i] >= 1.0:
                 raise InvalidInputError(f"axis {i + 1}: xi = +1 has zero likelihood for n_minus > 0")
-            total -= counts.n_minus[i] * np.log((1.0 - xi[i]) / 2.0)
-    return float(total)
+            total -= counts.n_minus[i] * math.log((1.0 - xi[i]) / 2.0)
+    return total
 
 
 __all__ = [

@@ -20,8 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     InvalidInputError,
     SolverError,
@@ -166,15 +164,15 @@ def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, list[float]]:
     return total - 1.0, slope, rate, x
 
 
-def _norm_residual(lam: float, s: np.ndarray, xi_hat: np.ndarray) -> float:
+def _norm_residual(lam: float, s, xi_hat) -> float:
     return _evaluate(lam, s, xi_hat)[0]
 
 
-def _solve_lambda(s: np.ndarray, xi_hat: np.ndarray) -> tuple[float, int, list[float]]:
+def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[float]]:
     """Root of r(lam) by Newton steps kept inside a bracket (rtsafe).
 
     Returns the multiplier, the number of residual evaluations and the roots
-    x_i at the multiplier.  r rises from r(0) = -1 to r(inf) = |xi_hat|^2 - 1
+    x_i at the multiplier.  r rises from r(0) = -1 to r(inf) = |a|^2 - 1
     > 0, so [0, inf] brackets the root from the start.  A Newton step that
     leaves the bracket, or is longer than half the step before last, is
     replaced by a bisection in log lam: the geometric mean of a finite
@@ -184,12 +182,10 @@ def _solve_lambda(s: np.ndarray, xi_hat: np.ndarray) -> tuple[float, int, list[f
     across such a point evaluates the point instead, so Newton runs on one
     smooth piece.
     """
-    s = s.tolist()
-    a = xi_hat.tolist()
     kinks = [2.0 / s_i for s_i, a_i in zip(s, a) if abs(a_i) == 1.0]
     # For large mu_i, x_i^2 ~ a_i^2 - 2 a_i^2 (1 - a_i^2) / (lam s_i), so
     # r ~ excess - spread / lam: a close start for points just outside
-    excess = norm_squared(xi_hat) - 1.0
+    excess = norm_squared(a) - 1.0
     spread = sum(2.0 * a_i * a_i * (1.0 - a_i * a_i) / s_i for s_i, a_i in zip(s, a))
     # weights may sum to 1 + 1e-12: keep every mu_i = lam s_i finite
     lam_max = _FLOAT_MAX / max(1.0, *s)
@@ -217,7 +213,7 @@ def _solve_lambda(s: np.ndarray, xi_hat: np.ndarray) -> tuple[float, int, list[f
         elif hi == math.inf:
             if lo == lam_max:
                 raise InvalidInputError(
-                    f"weights {s} are too uneven: the multiplier exceeds the float range"
+                    f"weights {list(s)} are too uneven: the multiplier exceeds the float range"
                 )
             trial = min(lo * growth, lam_max)
             growth *= growth
@@ -260,7 +256,7 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
     nsq = norm_squared(xi_hat)
     if nsq <= 1.0:
         return ProjectionResult(
-            xi_star=xi_hat.copy(),
+            xi_star=xi_hat,
             was_projected=False,
             lambda_star=None,
             norm_residual=abs(nsq - 1.0),
@@ -268,22 +264,26 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
             residual_evaluations=0,
         )
     lam, evaluations, x = _solve_lambda(s, xi_hat)
-    x = np.array(x)
-    mu = lam * s
-    residuals = np.abs(x * (1.0 - x * x) - mu * (xi_hat - x)) / (1.0 + mu)
+    residuals = []
+    for x_i, s_i, a_i in zip(x, s, xi_hat):
+        mu = lam * s_i
+        residuals.append(abs(x_i * (1.0 - x_i * x_i) - mu * (a_i - x_i)) / (1.0 + mu))
     return ProjectionResult(
-        xi_star=x,
+        xi_star=tuple(x),
         was_projected=True,
         lambda_star=lam,
         norm_residual=abs(norm_squared(x) - 1.0),
-        equation_residuals=tuple(residuals.tolist()),
+        equation_residuals=tuple(residuals),
         residual_evaluations=evaluations,
     )
 
 
-def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int) -> np.ndarray:
+def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int):
     """Solution curve lam -> x(lam * s_i, xihat_i), sampled from the origin
-    (lam = 0) to the projected point (lam = lam*).  Shape (n_samples, 3)."""
+    (lam = 0) to the projected point (lam = lam*).  A numpy array of shape
+    (n_samples, 3)."""
+    import numpy as np  # noqa: PLC0415 - only trajectories need arrays
+
     xi_hat = stokes_vector(xi_hat)
     s = weight_vector(s)
     if norm_squared(xi_hat) <= 1.0:

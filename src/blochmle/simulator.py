@@ -57,8 +57,7 @@ class SimulationSpec:
         if self.mode == "randomized":
             if self.weights is None:
                 raise InvalidInputError("randomized mode needs axis weights")
-            w = weight_vector(self.weights)
-            object.__setattr__(self, "weights", tuple(float(x) for x in w))
+            object.__setattr__(self, "weights", weight_vector(self.weights))
         elif self.weights is not None:
             raise InvalidInputError("standard mode takes no weights (every axis gets n_shots)")
         if not 0 <= int(self.seed) < 2**64:

@@ -72,7 +72,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_symmetry_exactness():
     xi_star = project_mle(np.array([0.8, 0.8, 0.8]), EQUAL).xi_star
-    gap = float(np.max(np.abs(xi_star - 1.0 / math.sqrt(3.0))))
+    gap = float(np.max(np.abs(np.asarray(xi_star) - 1.0 / math.sqrt(3.0))))
     _verdict(3, "symmetric input lands on the diagonal", gap < 1e-10, f"max gap {gap:.2e}")
 
 

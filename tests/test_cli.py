@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from blochmle.cli import main
+from blochmle.checks import SUITES
+from blochmle.cli import SUITE_NAMES, build_parser, main
 from blochmle.core import CountRecord, InvalidInputError
 from blochmle.io import (
     build_estimate_report,
@@ -87,9 +88,9 @@ class TestEstimateReport:
         assert report["kl_empirical_to_mle"] == 0.0
 
     def test_solver_fields(self):
-        # (2,5,9)/(20,17,13) lies on the sphere but rounds just outside, so
-        # lambda_star is ~1e16, where unscaled residuals would read up to 0.19
-        report = build_estimate_report(CountRecord((2, 5, 9), (20, 17, 13)))
+        # (1,10,9)/(25,16,17) lies on the sphere but rounds just outside, so
+        # lambda_star is ~7e15, where unscaled residuals would read up to 0.13
+        report = build_estimate_report(CountRecord((1, 10, 9), (25, 16, 17)))
         assert report["was_projected"] and "iterations" not in report
         assert report["residual_evaluations"] >= 1
         assert max(report["equation_residuals"]) < 1e-10
@@ -245,3 +246,10 @@ class TestCliCheck:
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["check", "--suite", "bogus"]) == 2
+
+    def test_every_suite_is_accepted(self):
+        # the parser names the suites itself, so that it need not import checks
+        assert sorted(SUITE_NAMES) == sorted(SUITES)
+        parser = build_parser()
+        for name in SUITES:
+            assert parser.parse_args(["check", "--suite", name]).suite == name

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,13 +93,93 @@ def test_weight_vector_validation():
     np.testing.assert_array_equal(weight_vector([0.5, 0.25, 0.25]), [0.5, 0.25, 0.25])
 
 
+# Malformed for either constructor: wrong length, nesting, text, None and
+# non-finite values.
+MALFORMED = [
+    [0.1, 0.2],
+    [0.1, 0.2, 0.3, 0.4],
+    np.array([0.1, 0.2]),
+    [[0.1, 0.2, 0.3]],
+    np.full((1, 3), 0.1),
+    "abc",
+    ["0.1", "0.2", "0.3"],
+    None,
+    [None, 0.2, 0.3],
+    np.float64(0.5),
+    [math.nan, 0.2, 0.3],
+    [0.1, math.inf, 0.3],
+    [0.1, 0.2, -math.inf],
+    [10**400, 0.2, 0.3],
+]
+
+
+@pytest.mark.parametrize("constructor", [stokes_vector, weight_vector])
+@pytest.mark.parametrize("value", MALFORMED, ids=repr)
+def test_malformed_vectors_refused(constructor, value):
+    # InvalidInputError only: never a bare TypeError or ValueError
+    with pytest.raises(InvalidInputError) as caught:
+        constructor(value)
+    assert type(caught.value) is InvalidInputError
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([1.1, 0.0, 0.0], r"must lie in \[-1, 1\], got \[1.1, 0.0, 0.0\]"),
+        ([0.0, -1.0000000000000002, 0.0], r"\[-1, 1\]"),
+        ([0.1, 0.0], r"needs 3 components, got shape \(2,\)"),
+        ([[0.1, 0.2, 0.3]], r"needs 3 components, got shape \(1, 3\)"),
+        ([0.1, math.nan, 0.0], "non-finite"),
+    ],
+)
+def test_stokes_vector_refusals(value, message):
+    with pytest.raises(InvalidInputError, match=message):
+        stokes_vector(value)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([0.5, 0.5, 0.0], r"strictly positive, got \[0.5, 0.5, 0.0\]"),
+        ([0.6, 0.5, -0.1], "strictly positive"),
+        ([0.5, 0.5, -0.0], "strictly positive"),
+        ([0.5, 0.5, 2e-12], "sum to 1"),
+        ([0.5, 0.5 - 2e-12, 1e-300], "sum to 1"),
+    ],
+)
+def test_weight_vector_refusals(value, message):
+    with pytest.raises(InvalidInputError, match=message):
+        weight_vector(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [0.5, 0.25, 0.25],
+        (0.5, 0.25, 0.25),
+        np.array([0.5, 0.25, 0.25]),
+        np.array([0.5, 0.25, 0.25], dtype=np.float32),
+        [np.float64(0.5), np.float32(0.25), 0.25],
+        (1 / 3, 1 / 3, 1 / 3 + 9e-13),
+    ],
+    ids=repr,
+)
+def test_validators_accept_sequences_and_return_floats(value):
+    for constructor in (stokes_vector, weight_vector):
+        out = constructor(value)
+        assert type(out) is tuple and len(out) == 3
+        assert all(type(x) is float for x in out)
+        assert list(out) == [float(x) for x in value]
+    assert stokes_vector([1, -1, np.int64(0)]) == (1.0, -1.0, 0.0)
+
+
 @given(count_records)
 @settings(max_examples=200)
 def test_estimate_ranges(rec):
     xi, s = temporal_estimate(rec)
     assert np.all(np.abs(xi) <= 1.0)
-    assert np.all(s > 0.0)
-    assert abs(s.sum() - 1.0) <= 1e-12
+    assert np.all(np.asarray(s) > 0.0)
+    assert abs(sum(s) - 1.0) <= 1e-12
 
 
 @given(count_records)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blochmle import core
 from blochmle.core import CountRecord, InvalidInputError, temporal_estimate
 from blochmle.oracle import (
     OracleConfig,
@@ -145,3 +146,37 @@ def test_oracle_projector_agreement_battery():
         gap = np.max(np.abs(oracle_mle(xi, w) - project_mle(xi, w).xi_star))
         worst = max(worst, gap)
     assert worst < 1e-4
+
+
+def test_scalar_and_array_kl_agree():
+    # core.empirical_kl (one model point, math.log) and the oracle's
+    # empirical_kl (an array of points, np.log) are one formula summed in
+    # the same order; they may differ only by the rounding of a log, a few
+    # ulps of the size of the terms
+    rng = np.random.default_rng(43)
+    eps = np.finfo(float).eps
+    cases = []
+    for _ in range(300):
+        w = rng.uniform(0.1, 1.0, 3)
+        cases.append((rng.uniform(-1.0, 1.0, 3), w / w.sum(), rng.uniform(-1.0, 1.0, (8, 3))))
+    edge = np.array([[0.8, 0.1, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.5, 0.5], [0.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+    # |xi_hat_i| = 1, where p_hat = 0 and the term drops out, against model
+    # points at +-1, where p_hat > 0 meets p_model = 0
+    cases.append((np.array([1.0, 0.0, 0.0]), EQUAL, edge))
+    cases.append((np.array([-1.0, 1.0, 0.3]), np.array([0.2, 0.3, 0.5]), edge))
+    for xi_hat, s, points in cases:
+        batch = empirical_kl(xi_hat, s, points)
+        for point, vector_value in zip(points, batch):
+            scalar = core.empirical_kl(xi_hat, s, point)
+            if math.isinf(vector_value):
+                assert scalar == vector_value == math.inf
+                continue
+            size = sum(
+                w * p * (abs(math.log(p)) + abs(math.log(q)))
+                for a, w, x in zip(xi_hat, s, point)
+                for p, q in (((1.0 + a) / 2.0, (1.0 + x) / 2.0), ((1.0 - a) / 2.0, (1.0 - x) / 2.0))
+                if p > 0.0
+            )
+            assert abs(scalar - vector_value) <= 4.0 * eps * size
+    assert core.empirical_kl((1.0, 0.0, 0.0), EQUAL, (1.0, 0.0, 0.0)) == 0.0
+    assert core.empirical_kl((0.5, 0.0, 0.0), EQUAL, (1.0, 0.0, 0.0)) == math.inf

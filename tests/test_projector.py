@@ -30,9 +30,13 @@ EQUAL = np.array([1 / 3, 1 / 3, 1 / 3])
 CUBIC_MU1_A05 = 0.25865202250415276
 LAMBDA_SYMMETRIC = 5.186175317511091
 
-# (2,5,9)/(20,17,13): xi_hat has norm exactly 1, but its float norm^2 rounds
-# to 1 + 2.2e-16, so it is projected at a multiplier of about 1e16
-ON_SPHERE = CountRecord((2, 5, 9), (20, 17, 13))
+# (1,10,9)/(25,16,17): xi_hat = -(12, 3, 4)/13 has norm exactly 1, but its
+# float norm^2 rounds to 1 + 2^-52 (summed in either order), so it is
+# projected at a multiplier of about 7e15
+ON_SPHERE = CountRecord((1, 10, 9), (25, 16, 17))
+# (2,5,9)/(20,17,13) also has norm exactly 1, and its float norm^2 summed
+# left to right rounds to exactly 1
+ON_SPHERE_ROUNDED_TO_ONE = CountRecord((2, 5, 9), (20, 17, 13))
 
 
 def bisect_root(mu, a, iterations=200):
@@ -109,7 +113,8 @@ def assert_matches_reference(xi_hat, s):
     lam, x = expected
     res = project_mle(xi_hat, s)
     assert res.was_projected and res.residual_evaluations >= 1
-    assert np.all(np.abs(res.xi_star - x) < 1e-10 + rounding_spread(xi_hat, s, lam, x))
+    spread = rounding_spread(np.asarray(xi_hat), np.asarray(s), lam, x)
+    assert np.all(np.abs(np.asarray(res.xi_star) - x) < 1e-10 + spread)
     assert res.norm_residual < 1e-10
     assert max(res.equation_residuals) < 1e-10
 
@@ -264,7 +269,15 @@ class TestProjectMle:
         assert norm_squared(xi_hat) > 1.0
         res = project_mle(xi_hat, s_hat)
         assert res.norm_residual < 1e-10
-        assert np.max(np.abs(res.xi_star - xi_hat)) < 1e-12
+        assert np.max(np.abs(np.asarray(res.xi_star) - xi_hat)) < 1e-12
+
+    def test_float_vector_on_the_sphere_rounded_to_one(self):
+        # norm^2 rounds to exactly 1: the point is its own MLE
+        xi_hat, s_hat = temporal_estimate(ON_SPHERE_ROUNDED_TO_ONE)
+        assert norm_squared(xi_hat) == 1.0
+        res = project_mle(xi_hat, s_hat)
+        assert not res.was_projected
+        assert res.xi_star == xi_hat
 
     def test_residual_evaluations_count_every_evaluation(self, monkeypatch):
         # each evaluation of r(lam) is one cubic_solve per component, and the
@@ -289,8 +302,8 @@ class TestProjectMle:
     )
     def test_equation_residuals_scaled_by_one_plus_mu(self, xi_hat, s):
         res = project_mle(xi_hat, s)
-        x, mu = res.xi_star, res.lambda_star * s
-        expected = np.abs(x * (1.0 - x * x) - mu * (xi_hat - x)) / (1.0 + mu)
+        x, mu = np.asarray(res.xi_star), res.lambda_star * np.asarray(s)
+        expected = np.abs(x * (1.0 - x * x) - mu * (np.asarray(xi_hat) - x)) / (1.0 + mu)
         np.testing.assert_array_equal(res.equation_residuals, expected)
         assert max(res.equation_residuals) < 1e-10
 
