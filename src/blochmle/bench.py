@@ -9,7 +9,7 @@ the reproducible claim is the ordering.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,22 +22,29 @@ DISCREPANCY_TOL = 1e-4
 EQUAL_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class BenchTrial:
-    index: int
-    projection_ms: float
-    oracle_ms: float
-    discrepancy: float
+class BenchTrial(namedtuple("BenchTrial", ["index", "projection_ms", "oracle_ms", "discrepancy"])):
+    """One exterior point: both methods' wall times and their max-norm
+    discrepancy."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    trials: list[BenchTrial]
-    projection_mean_ms: float
-    projection_median_ms: float
-    oracle_mean_ms: float
-    oracle_median_ms: float
-    max_discrepancy: float
+class BenchResult(
+    namedtuple(
+        "BenchResult",
+        [
+            "trials",
+            "projection_mean_ms",
+            "projection_median_ms",
+            "oracle_mean_ms",
+            "oracle_median_ms",
+            "max_discrepancy",
+        ],
+    )
+):
+    """The list of ``BenchTrial`` rows and their summary statistics."""
+
+    __slots__ = ()
 
     @property
     def speedup(self) -> float:

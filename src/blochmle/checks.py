@@ -9,7 +9,7 @@ instance counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,11 +28,10 @@ from .projector import cubic_solve, project_mle, solve_lambda
 from .simulator import SimulationSpec, simulate
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    detail: str
+class CheckOutcome(namedtuple("CheckOutcome", ["name", "passed", "detail"])):
+    """One named invariant: whether it held, and its worst defect as text."""
+
+    __slots__ = ()
 
 
 # --- samplers -------------------------------------------------------------

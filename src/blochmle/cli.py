@@ -7,7 +7,9 @@ invariant suites).  Exit codes: 0 success, 1 failed invariant,
 2 bad input, 3 internal numerical failure.
 
 The modules that need numpy (simulator, bench, checks) are imported inside
-the subcommands that use them, so an ``estimate`` process never loads it.
+the subcommands that use them, so an ``estimate`` process never loads it;
+the package's records are namedtuples, so it loads neither ``dataclasses``
+nor ``typing`` either.
 """
 
 from __future__ import annotations

@@ -12,13 +12,20 @@ the report work in plain floats and never import numpy: a ``blochmle
 estimate`` process does not pay for loading it.  Modules that work on
 arrays (the oracle, information geometry, simulator, checks and bench)
 convert with ``np.asarray`` where they need to.
+
+The package's records (``CountRecord`` here, ``ProjectionResult``,
+``OracleConfig`` and the rest) are ``collections.namedtuple`` subclasses:
+immutable, validated in ``__new__`` (``_replace`` included), and tuples, so
+they have a length, unpack, and compare equal to a plain tuple of the same
+fields.  ``collections`` is loaded by ``argparse`` and ``json`` anyway, so
+the records add no import to an ``estimate`` process.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Three floats each; see the module docstring for the conventions.
 StokesVector = tuple[float, float, float]
@@ -38,37 +45,42 @@ class SolverError(RuntimeError):
     """A numerical routine failed to reach its own tolerance."""
 
 
-def _as_count(value, field: str) -> int:
+def _as_count(value, axis: int, side: str) -> int:
     try:
         n = operator.index(value)
     except TypeError:
-        raise InvalidInputError(f"{field}: expected an integer, got {value!r}") from None
+        raise InvalidInputError(f"axis {axis} {side}: expected an integer, got {value!r}") from None
     if n < 0:
-        raise InvalidInputError(f"{field}: negative count {n}")
+        raise InvalidInputError(f"axis {axis} {side}: negative count {n}")
     return n
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Spin-up / spin-down tallies for the three Pauli measurement axes.
+class CountRecord(namedtuple("CountRecord", ["n_plus", "n_minus"])):
+    """Spin-up / spin-down tallies for the three Pauli measurement axes:
+    ``n_plus`` and ``n_minus`` are tuples of three nonnegative ints.
 
     Every axis must have been measured at least once; an axis with no shots
     has no defined empirical estimate and is rejected outright.
     """
 
-    n_plus: tuple[int, int, int]
-    n_minus: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.n_plus) != 3 or len(self.n_minus) != 3:
-            raise InvalidInputError("counts are required for exactly 3 axes")
-        plus = tuple(_as_count(n, f"axis {i + 1} n_plus") for i, n in enumerate(self.n_plus))
-        minus = tuple(_as_count(n, f"axis {i + 1} n_minus") for i, n in enumerate(self.n_minus))
+    def __new__(cls, n_plus, n_minus):
+        try:
+            (p1, p2, p3), (m1, m2, m3) = n_plus, n_minus
+        except (TypeError, ValueError):  # None, a bare number, a wrong length
+            raise InvalidInputError("counts are required for exactly 3 axes") from None
+        plus = (_as_count(p1, 1, "n_plus"), _as_count(p2, 2, "n_plus"), _as_count(p3, 3, "n_plus"))
+        minus = (_as_count(m1, 1, "n_minus"), _as_count(m2, 2, "n_minus"), _as_count(m3, 3, "n_minus"))
         for i in range(3):
             if plus[i] + minus[i] == 0:
                 raise InvalidInputError(f"axis {i + 1}: no measurements recorded")
-        object.__setattr__(self, "n_plus", plus)
-        object.__setattr__(self, "n_minus", minus)
+        return tuple.__new__(cls, (plus, minus))
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that ``_replace`` validates too
+        return cls(*iterable)
 
     @property
     def axis_totals(self) -> tuple[int, int, int]:

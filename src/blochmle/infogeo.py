@@ -20,7 +20,7 @@ divergence, which is what `canonical_divergence` lets tests verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -95,15 +95,12 @@ def _six_outcome(s: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DualCoordinates:
-    """Natural/expectation coordinates of a product distribution, with the
-    Legendre pair of potentials (psi + phi - theta.eta = 0)."""
+class DualCoordinates(namedtuple("DualCoordinates", ["theta", "eta", "psi", "phi"])):
+    """Natural/expectation coordinates of a product distribution (arrays
+    ``theta`` and ``eta``), with the Legendre pair of potentials, floats
+    ``psi`` and ``phi`` (psi + phi - theta.eta = 0)."""
 
-    theta: np.ndarray
-    eta: np.ndarray
-    psi: float
-    phi: float
+    __slots__ = ()
 
 
 def dual_coordinates(xi) -> DualCoordinates:

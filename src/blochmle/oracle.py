@@ -14,7 +14,7 @@ module (as the estimate report does) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     CountRecord,
@@ -30,14 +30,22 @@ from .core import (
 _REFINE_POINTS = 17
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    coarse_grid: int = 180
-    refine_iterations: int = 200
-    refine_shrink: float = 0.5
-    tolerance: float = 1e-10
+class OracleConfig(
+    namedtuple(
+        "OracleConfig",
+        ["coarse_grid", "refine_iterations", "refine_shrink", "tolerance"],
+        defaults=(180, 200, 0.5, 1e-10),
+    )
+):
+    """Grid search settings: ``coarse_grid`` points per angle in the first
+    scan, up to ``refine_iterations`` window refinements, each shrinking the
+    window by ``refine_shrink``, until it is narrower than ``tolerance``."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        # the generated __new__ binds the arguments and fills in the defaults
+        self = super().__new__(cls, *args, **kwargs)
         if self.coarse_grid < 8:
             raise InvalidInputError(f"coarse_grid must be >= 8, got {self.coarse_grid}")
         if not self.tolerance > 0.0:
@@ -46,6 +54,12 @@ class OracleConfig:
             raise InvalidInputError(f"refine_shrink must lie in (0, 1), got {self.refine_shrink}")
         if self.refine_iterations < 0:
             raise InvalidInputError("refine_iterations must be nonnegative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that ``_replace`` validates too
+        return cls(*iterable)
 
 
 def _sphere_points(polar, azimuth):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     InvalidInputError,
@@ -46,9 +46,17 @@ _RESIDUAL_FLOOR = 4.0 * sys.float_info.epsilon
 _RADICAND_SLACK = -1e-12
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(
+    namedtuple(
+        "ProjectionResult",
+        ["xi_star", "was_projected", "lambda_star", "norm_residual", "equation_residuals", "residual_evaluations"],
+    )
+):
     """Outcome of the sphere projection.
+
+    ``xi_star`` is a Stokes vector; ``lambda_star`` a float, or None;
+    ``norm_residual`` a float; ``equation_residuals`` three floats, or None;
+    ``residual_evaluations`` an int.
 
     When ``was_projected`` is False the input was already physical and is
     returned unchanged, with no multiplier or equation residuals, and
@@ -60,12 +68,7 @@ class ProjectionResult:
     them does not grow with the multiplier.
     """
 
-    xi_star: StokesVector
-    was_projected: bool
-    lambda_star: float | None
-    norm_residual: float
-    equation_residuals: tuple[float, float, float] | None
-    residual_evaluations: int
+    __slots__ = ()
 
 
 def cubic_solve(mu: float, a: float) -> float:

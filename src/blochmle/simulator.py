@@ -9,7 +9,7 @@ deterministically from the seed; randomized mode uses a single stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,42 +27,46 @@ DRAW_CHUNK = 1 << 16
 _NORM_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(
+    namedtuple("SimulationSpec", ["xi_true", "mode", "n_shots", "weights", "seed"], defaults=(None, 0))
+):
     """Ground truth and sampling plan for one synthetic experiment.
 
-    ``n_shots`` counts measurements per axis in standard mode and in total
-    in randomized mode, where one of the three axes is picked each shot
-    with the given weights.
+    ``xi_true`` is a tuple of three floats in the unit ball, ``mode`` one of
+    ``MODES``, ``weights`` a weight vector (randomized mode) or None, and
+    ``n_shots`` and ``seed`` are ints.  ``n_shots`` counts measurements per
+    axis in standard mode and in total in randomized mode, where one of the
+    three axes is picked each shot with the given weights.
     """
 
-    xi_true: tuple[float, float, float]
-    mode: str
-    n_shots: int
-    weights: tuple[float, float, float] | None = None
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        xi = np.asarray(self.xi_true, dtype=float)
+    def __new__(cls, *args, **kwargs):
+        # the generated __new__ binds the arguments and fills in the defaults
+        xi_true, mode, n_shots, weights, seed = super().__new__(cls, *args, **kwargs)
+        xi = np.asarray(xi_true, dtype=float)
         if xi.shape != (3,) or not np.all(np.isfinite(xi)):
-            raise InvalidInputError(f"xi_true must be a finite 3-vector, got {self.xi_true!r}")
+            raise InvalidInputError(f"xi_true must be a finite 3-vector, got {xi_true!r}")
         if float(np.dot(xi, xi)) > 1.0 + _NORM_SLACK:
             raise InvalidInputError(f"xi_true must lie in the unit ball, got norm^2 = {np.dot(xi, xi)}")
-        object.__setattr__(self, "xi_true", tuple(float(x) for x in xi))
-        if self.mode not in MODES:
-            raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if int(self.n_shots) < 1:
-            raise InvalidInputError(f"n_shots must be >= 1, got {self.n_shots}")
-        object.__setattr__(self, "n_shots", int(self.n_shots))
-        if self.mode == "randomized":
-            if self.weights is None:
+        if mode not in MODES:
+            raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+        if int(n_shots) < 1:
+            raise InvalidInputError(f"n_shots must be >= 1, got {n_shots}")
+        if mode == "randomized":
+            if weights is None:
                 raise InvalidInputError("randomized mode needs axis weights")
-            object.__setattr__(self, "weights", weight_vector(self.weights))
-        elif self.weights is not None:
+            weights = weight_vector(weights)
+        elif weights is not None:
             raise InvalidInputError("standard mode takes no weights (every axis gets n_shots)")
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        if not 0 <= int(seed) < 2**64:
+            raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        return super().__new__(cls, tuple(float(x) for x in xi), mode, int(n_shots), weights, int(seed))
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that ``_replace`` validates too
+        return cls(*iterable)
 
 
 def _axis_streams(seed: int, n: int) -> list[np.random.Generator]:

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +164,27 @@ class TestCliSimulate:
 
     def test_invalid_state_exit_2(self):
         assert main(["simulate", "--xi", "1,1,1", "--mode", "standard", "--N", "10"]) == 2
+
+    def test_readme_examples_run(self, monkeypatch, capsys):
+        # every ``blochmle simulate`` line of README's CLI block exits 0, and
+        # a line piped into ``blochmle estimate`` yields a report
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("blochmle simulate")]
+        assert len(lines) >= 3
+        piped = 0
+        for line in lines:
+            stages = [shlex.split(stage, comments=True) for stage in line.split("|")]
+            assert main(stages[0][1:]) == 0, line
+            out = capsys.readouterr().out
+            assert json.loads(out)["axes"]
+            for stage in stages[1:]:
+                assert stage[:2] == ["blochmle", "estimate"], line
+                monkeypatch.setattr("sys.stdin", io.StringIO(out))
+                assert main(stage[1:]) == 0, line
+                assert "xi_star" in json.loads(capsys.readouterr().out)
+                piped += 1
+        assert piped >= 1
 
     def test_ratio_weights_normalized(self, capsys):
         assert main(["simulate", "--xi", "0.1,0,0", "--mode", "randomized", "--N", "900",

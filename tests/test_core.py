@@ -57,18 +57,36 @@ def test_norm_squared(xi, expected):
 
 
 def test_empty_axis_rejected():
-    with pytest.raises(InvalidInputError, match="axis 2"):
+    with pytest.raises(InvalidInputError, match=r"^axis 2: no measurements recorded$"):
         CountRecord((10, 0, 5), (5, 0, 5))
 
 
 def test_negative_count_rejected():
-    with pytest.raises(InvalidInputError, match="n_minus"):
+    with pytest.raises(InvalidInputError, match=r"^axis 2 n_minus: negative count -1$"):
         CountRecord((10, 10, 10), (5, -1, 5))
 
 
 def test_fractional_count_rejected():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"^axis 2 n_plus: expected an integer, got 10.5$"):
         CountRecord((10, 10.5, 10), (5, 5, 5))
+
+
+@pytest.mark.parametrize(
+    "n_plus, n_minus",
+    [
+        (5, (1, 2, 3)),
+        (None, (1, 2, 3)),
+        ((1, 2, 3), None),
+        ((1, 2), (1, 2, 3)),
+        ((1, 2, 3), (1, 2, 3, 4)),
+    ],
+    ids=repr,
+)
+def test_count_record_shape_refused(n_plus, n_minus):
+    # InvalidInputError only: never a bare TypeError from len() or unpacking
+    with pytest.raises(InvalidInputError, match="counts are required for exactly 3 axes") as caught:
+        CountRecord(n_plus, n_minus)
+    assert type(caught.value) is InvalidInputError
 
 
 def test_count_record_totals():

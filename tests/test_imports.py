@@ -1,5 +1,6 @@
-"""The estimate path runs without numpy: fresh interpreters, checked through
-``sys.modules``."""
+"""The estimate path runs without numpy, ``dataclasses`` or ``typing``:
+fresh interpreters, checked through ``sys.modules``; and the contract of the
+package's records, which are namedtuples so that they cost no import."""
 
 import json
 import os
@@ -7,17 +8,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-from blochmle.core import CountRecord
+import pytest
+
+from blochmle.bench import BenchResult, BenchTrial
+from blochmle.checks import CheckOutcome
+from blochmle.core import CountRecord, InvalidInputError
+from blochmle.infogeo import dual_coordinates
 from blochmle.io import counts_to_csv, counts_to_json
+from blochmle.oracle import OracleConfig
+from blochmle.projector import project_mle
+from blochmle.simulator import SimulationSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROJECTED = CountRecord((90, 90, 90), (10, 10, 10))
 
 
-def fresh_python(code: str, *argv: str, stdin: str = "") -> subprocess.CompletedProcess:
+def fresh_python(code: str, *argv: str, stdin: str = "", flags: tuple = ()) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *flags, "-c", code, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return done
@@ -54,6 +63,25 @@ def test_estimate_with_oracle_loads_numpy_and_agrees():
     assert loaded and report["oracle"]["max_discrepancy"] < 1e-4
 
 
+# Runs ``blochmle estimate`` on stdin, then writes its exit code and which of
+# the modules the estimate path must not load were loaded.
+BUDGET = """
+import sys
+from blochmle.cli import main
+code = main(["estimate"])
+print(code, *sorted({"dataclasses", "inspect", "typing", "numpy"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("to_text", [counts_to_json, counts_to_csv], ids=["json", "csv"])
+def test_estimate_import_budget(to_text):
+    # -S: a site .pth file that preloads typing, as some installations
+    # have, would otherwise hide a regression
+    done = fresh_python(BUDGET, stdin=to_text(PROJECTED), flags=("-S",))
+    assert json.loads(done.stdout)["was_projected"]
+    assert done.stderr.split() == ["0"]
+
+
 def test_import_leaves_numpy_unloaded():
     done = fresh_python("import sys, blochmle; print('numpy' in sys.modules)")
     assert done.stdout.split() == ["False"]
@@ -68,3 +96,77 @@ def test_star_import_resolves_every_public_name():
         "print(len(blochmle.__all__), missing, set(blochmle.__all__) <= set(dir(blochmle)))"
     )
     assert done.stdout.split() == ["31", "[]", "True"]
+
+
+# One instance of each of the package's records.
+RECORDS = {
+    "CountRecord": PROJECTED,
+    "ProjectionResult": project_mle((0.8, 0.8, 0.8), (1 / 3, 1 / 3, 1 / 3)),
+    "OracleConfig": OracleConfig(),
+    "SimulationSpec": SimulationSpec(xi_true=(0.1, 0.0, 0.0), mode="standard", n_shots=10),
+    "DualCoordinates": dual_coordinates((0.1, 0.2, 0.3)),
+    "CheckOutcome": CheckOutcome("name", True, "defect 0"),
+    "BenchTrial": BenchTrial(0, 0.1, 20.0, 1e-9),
+    "BenchResult": BenchResult([BenchTrial(0, 0.1, 20.0, 1e-9)], 0.1, 0.1, 20.0, 20.0, 1e-9),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable(name):
+    record = RECORDS[name]
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_tuples_of_their_fields(name):
+    record = RECORDS[name]
+    assert len(record) == len(record._fields)
+    assert tuple(record) == tuple(getattr(record, field) for field in record._fields)
+    assert repr(record).startswith(f"{name}({record._fields[0]}=")
+
+
+def test_keyword_construction_and_equality():
+    record = CountRecord(n_plus=(90, 90, 90), n_minus=(10, 10, 10))
+    assert record == PROJECTED == ((90, 90, 90), (10, 10, 10))
+    n_plus, n_minus = record
+    assert (n_plus, n_minus) == (record.n_plus, record.n_minus)
+    assert record != CountRecord((90, 90, 91), (10, 10, 10))
+    assert hash(record) == hash(PROJECTED)
+    spec = SimulationSpec(mode="randomized", xi_true=[0, 0.5, 0], n_shots=7.0, weights=(0.5, 0.25, 0.25), seed=3)
+    assert spec == SimulationSpec((0.0, 0.5, 0.0), "randomized", 7, (0.5, 0.25, 0.25), 3)
+
+
+def test_repr_names_the_fields():
+    assert repr(CountRecord((1, 2, 3), (4, 5, 6))) == "CountRecord(n_plus=(1, 2, 3), n_minus=(4, 5, 6))"
+    assert repr(OracleConfig()) == (
+        "OracleConfig(coarse_grid=180, refine_iterations=200, refine_shrink=0.5, tolerance=1e-10)"
+    )
+
+
+def test_defaults_unchanged():
+    config = OracleConfig()
+    assert (config.coarse_grid, config.refine_iterations, config.refine_shrink, config.tolerance) == (
+        180,
+        200,
+        0.5,
+        1e-10,
+    )
+    assert OracleConfig(coarse_grid=90) == (90, 200, 0.5, 1e-10)
+    spec = SimulationSpec(xi_true=(0.1, 0.0, 0.0), mode="standard", n_shots=10)
+    assert spec.weights is None and spec.seed == 0
+
+
+def test_replace_validates_and_normalises():
+    with pytest.raises(InvalidInputError, match="axis 1: no measurements recorded"):
+        PROJECTED._replace(n_plus=(0, 90, 90), n_minus=(0, 10, 10))
+    with pytest.raises(InvalidInputError, match="coarse_grid must be >= 8"):
+        OracleConfig()._replace(coarse_grid=4)
+    spec = RECORDS["SimulationSpec"]
+    with pytest.raises(InvalidInputError, match="mode must be one of"):
+        spec._replace(mode="adaptive")
+    assert spec._replace(seed=5.0).seed == 5 and type(spec._replace(seed=5.0).seed) is int
+    assert [type(n) for n in PROJECTED._replace(n_plus=(True, 1, 1)).n_plus] == [int, int, int]
