@@ -43,21 +43,25 @@ SUITE_NAMES = ("infogeo", "projector", "simulator")
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "standard input" if path == "-" else path
+        raise InvalidInputError(f"cannot read {name}: {exc}") from None
 
 
 def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from None
 
 
 def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:

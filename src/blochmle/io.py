@@ -5,6 +5,15 @@ Counts files come as JSON, ``{"axes": [{"axis": 1, "n_plus": ..,
 exactly three rows.  Floats in reports are serialized in Python's shortest
 round-trip decimal form (up to 17 significant digits), so parsing a report
 back recovers bit-identical doubles.
+
+Reports and counts files are written by ``_json_text``, whose output matches
+``json.dumps`` with a two-space indent byte for byte.  It exists because
+``json`` has no C path once ``indent`` is set: its pure-Python indenting
+encoder cost more per record than the estimate itself.
+
+The direct-search oracle (and with it numpy) loads only when
+``build_estimate_report(with_oracle=True)`` or the module attribute
+``io.oracle_mle`` or ``io.OracleConfig`` first asks for it (PEP 562).
 """
 
 from __future__ import annotations
@@ -13,12 +22,59 @@ import csv
 import io as _io
 import json
 import math
+import sys
+from json.encoder import encode_basestring_ascii
 
 from .core import CountRecord, InvalidInputError, empirical_kl, norm_squared, temporal_estimate
-from .oracle import OracleConfig, oracle_mle
 from .projector import project_mle
 
 COUNTS_CSV_HEADER = ["axis", "n_plus", "n_minus"]
+
+# float.__repr__ of the non-finite floats -> what json writes for them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def __getattr__(name):
+    if name not in ("OracleConfig", "oracle_mle"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle  # noqa: PLC0415 - see the module docstring
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def _json_text(value, pad: str) -> str:
+    """What ``json.dumps`` with a two-space indent returns, for dicts with
+    str keys, lists, tuples, floats, ints, bools and None; any other type
+    raises TypeError.  ``pad`` is the indent of the line that ``value``
+    starts on."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}")
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _require_int(value, field: str) -> int:
@@ -45,6 +101,8 @@ def parse_counts_json(text: str) -> CountRecord:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInputError("not valid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict) or "axes" not in doc:
         raise InvalidInputError("axes: missing top-level field")
     axes = doc["axes"]
@@ -106,7 +164,7 @@ def counts_to_json(counts: CountRecord) -> str:
             for i in range(3)
         ]
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc, "") + "\n"
 
 
 def counts_to_csv(counts: CountRecord) -> str:
@@ -140,7 +198,8 @@ def build_estimate_report(
         report["norm_residual"] = result.norm_residual
         report["equation_residuals"] = list(result.equation_residuals)
     if with_oracle:
-        direct = oracle_mle(xi_hat, s_hat, oracle_config).tolist()
+        # looked up as a module attribute, so a wrapper set on io.oracle_mle runs
+        direct = sys.modules[__name__].oracle_mle(xi_hat, s_hat, oracle_config).tolist()
         report["oracle"] = {
             "xi": direct,
             "max_discrepancy": max(abs(d - x) for d, x in zip(direct, result.xi_star)),
@@ -149,4 +208,4 @@ def build_estimate_report(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return _json_text(report, "") + "\n"

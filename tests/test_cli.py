@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blochmle import io as bio
 from blochmle.checks import SUITES
 from blochmle.cli import SUITE_NAMES, build_parser, main
 from blochmle.core import CountRecord, InvalidInputError
@@ -71,6 +72,80 @@ class TestCountsFormats:
         assert parsed["lambda_star"] == report["lambda_star"]
         assert parsed["xi_star"] == report["xi_star"]
 
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"axes": ' + "[" * 100_000)
+        assert main(["estimate", "--in", str(path)]) == 2
+        assert "error: not valid JSON: arrays or objects nested too deeply" in capsys.readouterr().err
+
+
+def as_json_dumps(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def seeded_records(seed: int, n: int):
+    # 1 to 2000 shots per axis; alternately near-pure states, most of them
+    # outside the ball, and mixed states inside it
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        shots = rng.integers(1, 2000, size=3)
+        p_plus = rng.beta(0.3, 0.3, size=3) if i % 2 else rng.uniform(0.3, 0.7, size=3)
+        n_plus = rng.binomial(shots, p_plus)
+        yield CountRecord(tuple(int(k) for k in n_plus), tuple(int(k) for k in shots - n_plus))
+
+
+class TestJsonWriter:
+    """reports and counts files are byte-identical to json.dumps(indent=2)"""
+
+    def test_seeded_reports(self):
+        projected = interior = 0
+        for record in seeded_records(7, 400):
+            report = build_estimate_report(record)
+            assert report_to_json(report) == as_json_dumps(report)
+            projected += report["was_projected"]
+            interior += not report["was_projected"]
+        assert projected > 50 and interior > 50
+
+    @pytest.mark.parametrize(
+        "record",
+        [RECORD, CountRecord((90, 90, 90), (10, 10, 10)), CountRecord((100, 65, 50), (0, 35, 50))],
+        ids=["interior", "projected", "component_at_1"],
+    )
+    def test_named_reports(self, record):
+        report = build_estimate_report(record)
+        assert report_to_json(report) == as_json_dumps(report)
+
+    def test_report_with_oracle(self):
+        report = build_estimate_report(CountRecord((90, 90, 90), (10, 10, 10)), with_oracle=True)
+        assert isinstance(report["oracle"], dict)
+        assert report_to_json(report) == as_json_dumps(report)
+
+    def test_counts_above_2_53(self):
+        record = CountRecord((2**53 + 1, 3, 2**70), (1, 2**63, 5))
+        text = counts_to_json(record)
+        assert text == as_json_dumps(json.loads(text))
+        assert parse_counts_json(text) == record
+
+    def test_edge_documents(self):
+        doc = {
+            "floats": [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1],
+            "words": [True, False, None],
+            "ints": [0, -1, 2**64],
+            "empty_list": [],
+            "empty_dict": {},
+            "tuple": (1.5, (2, [])),
+            "nested": {"inner": {"x": [1, {"deep": None}]}, "after": 3},
+            "quote\"and\u00e9": 1,
+        }
+        assert report_to_json(doc) == as_json_dumps(doc)
+        for value in ([], {}, 1.0, None, [[]], [{}]):
+            assert report_to_json(value) == as_json_dumps(value)
+
+    @pytest.mark.parametrize("doc", [{"name": "text"}, {1: 0.5}, {"set": {1}}], ids=["str_value", "int_key", "set"])
+    def test_other_types_refused(self, doc):
+        with pytest.raises(TypeError):
+            report_to_json(doc)
+
 
 class TestEstimateReport:
     def test_projected_pipeline(self):
@@ -107,6 +182,23 @@ class TestEstimateReport:
         report = build_estimate_report(CountRecord((90, 90, 90), (10, 10, 10)), with_oracle=True)
         assert report["oracle"]["max_discrepancy"] < 1e-4
 
+    def test_oracle_looked_up_on_the_module(self, monkeypatch):
+        # io loads the oracle lazily, yet a wrapper set on io.oracle_mle (as
+        # the benchmark's spans set one) is what the report calls
+        original = bio.oracle_mle
+        calls = []
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bio, "oracle_mle", wrapper)
+        report = build_estimate_report(CountRecord((90, 90, 90), (10, 10, 10)), with_oracle=True)
+        assert len(calls) == 1 and report["oracle"]["max_discrepancy"] < 1e-4
+        assert bio.OracleConfig().coarse_grid == 180
+        with pytest.raises(AttributeError):
+            bio.no_such_name  # noqa: B018
+
 
 class TestCliEstimate:
     def test_estimate_json_file(self, tmp_path, capsys):
@@ -130,6 +222,26 @@ class TestCliEstimate:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["estimate", "--in", str(tmp_path / "nope.json")]) == 2
+
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + counts_to_json(RECORD).encode("utf-16-le"))
+        assert main(["estimate", "--in", str(path)]) == 2
+        assert f"error: cannot read {path}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_undecodable_stdin_exit_2(self, monkeypatch, capsys):
+        # a strict UTF-8 stdin, as under PYTHONIOENCODING=utf-8
+        data = b"\xff\xfe" + counts_to_json(RECORD).encode("utf-16-le")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["estimate"]) == 2
+        assert "error: cannot read standard input: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        counts = tmp_path / "counts.json"
+        counts.write_text(counts_to_json(RECORD))
+        out = tmp_path / "missing" / "report.json"
+        assert main(["estimate", "--in", str(counts), "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
 
     def test_oracle_flag(self, tmp_path, capsys):
         path = tmp_path / "counts.json"
@@ -164,6 +276,11 @@ class TestCliSimulate:
 
     def test_invalid_state_exit_2(self):
         assert main(["simulate", "--xi", "1,1,1", "--mode", "standard", "--N", "10"]) == 2
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "counts.json"
+        assert main(["simulate", "--xi", "0.1,0,0", "--N", "10", "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
 
     def test_readme_examples_run(self, monkeypatch, capsys):
         # every ``blochmle simulate`` line of README's CLI block exits 0, and
