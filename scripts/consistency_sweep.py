@@ -29,8 +29,8 @@ def main():
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["n_shots", "rmse", "median_error"])
-        for n, rmse in zip(n_values, sweep["rmse"]):
-            writer.writerow([n, rmse, float(sorted(sweep["errors"][n])[len(sweep["errors"][n]) // 2])])
+        for n, rmse, median in zip(n_values, sweep["rmse"], sweep["median"]):
+            writer.writerow([n, rmse, median])
 
     print(f"wrote {args.out}")
     for n, rmse in zip(n_values, sweep["rmse"]):

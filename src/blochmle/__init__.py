@@ -28,13 +28,10 @@ _SOURCES = {
     "dual_coordinates": "infogeo",
     "finite_distribution": "infogeo",
     "fisher_metric": "infogeo",
-    "foliation_coordinates": "infogeo",
     "foliation_orthogonality_defect": "infogeo",
     "kl_divergence": "infogeo",
     "product_distribution": "infogeo",
     "randomized_distribution": "infogeo",
-    "OracleConfig": "oracle",
-    "negative_log_likelihood": "oracle",
     "oracle_mle": "oracle",
     "ProjectionResult": "projector",
     "cubic_solve": "projector",

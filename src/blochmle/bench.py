@@ -1,4 +1,4 @@
-"""Timing comparison between the closed-form projection and the grid oracle.
+"""Timing comparison between the closed-form projection and the direct-search oracle.
 
 Each trial draws a random exterior empirical vector (equal weights), runs
 both methods on it under the wall clock, and records the max-norm
@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from .checks import exterior_point
-from .oracle import OracleConfig, oracle_mle
+from .oracle import oracle_mle
 from .projector import project_mle
 
 DISCREPANCY_TOL = 1e-4
@@ -51,11 +51,9 @@ class BenchResult(
         return self.oracle_mean_ms / self.projection_mean_ms
 
 
-def run_benchmark(trials: int, seed: int = 0, config: OracleConfig | None = None) -> BenchResult:
+def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if config is None:
-        config = OracleConfig()
     rng = np.random.default_rng(seed)
     weights = np.asarray(EQUAL_WEIGHTS)
     rows: list[BenchTrial] = []
@@ -65,7 +63,7 @@ def run_benchmark(trials: int, seed: int = 0, config: OracleConfig | None = None
         t0 = time.perf_counter()
         projected = project_mle(xi_hat, weights)
         t1 = time.perf_counter()
-        direct = oracle_mle(xi_hat, weights, config)
+        direct = oracle_mle(xi_hat, weights)
         t2 = time.perf_counter()
 
         discrepancy = float(np.max(np.abs(np.asarray(projected.xi_star) - direct)))

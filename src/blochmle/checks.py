@@ -334,8 +334,8 @@ def consistency_errors(
 ) -> dict:
     """Estimation error versus shot count under randomized sampling.
 
-    Returns per-N error arrays plus the log-log slopes of the RMSE and the
-    median error; both should sit near -1/2.
+    Returns the per-N error arrays, RMSEs and median errors, and the log-log
+    slopes of the RMSE and the median error; both should sit near -1/2.
     """
     errors = {}
     for idx, n in enumerate(n_values):
@@ -358,6 +358,7 @@ def consistency_errors(
     return {
         "errors": errors,
         "rmse": rmse,
+        "median": med,
         "rmse_slope": float(np.polyfit(log_n, np.log(rmse), 1)[0]),
         "median_slope": float(np.polyfit(log_n, np.log(med), 1)[0]),
     }

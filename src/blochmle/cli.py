@@ -45,10 +45,14 @@ SUITE_NAMES = ("infogeo", "projector", "simulator")
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            # a surrogateescape stdin (POSIX and C.UTF-8 locales) keeps bytes
+            # that are not UTF-8 as lone surrogates: recover them, decode strictly
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
+            return text
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         name = "standard input" if path == "-" else path
         raise InvalidInputError(f"cannot read {name}: {exc}") from None
 

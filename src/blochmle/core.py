@@ -14,7 +14,7 @@ arrays (the oracle, information geometry, simulator, checks and bench)
 convert with ``np.asarray`` where they need to.
 
 The package's records (``CountRecord`` here, ``ProjectionResult``,
-``OracleConfig`` and the rest) are ``collections.namedtuple`` subclasses:
+``SimulationSpec`` and the rest) are ``collections.namedtuple`` subclasses:
 immutable, validated in ``__new__`` (``_replace`` included), and tuples, so
 they have a length, unpack, and compare equal to a plain tuple of the same
 fields.  ``collections`` is loaded by ``argparse`` and ``json`` anyway, so

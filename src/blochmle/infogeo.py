@@ -161,33 +161,6 @@ def _score_derivatives(s: np.ndarray, xi: np.ndarray, step: float) -> tuple[np.n
     return p, derivs
 
 
-def foliation_coordinates(s: WeightVector, xi: StokesVector) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed dual coordinates (eta, theta) of the 5-simplex of randomized
-    distributions, adapted to the weight/state split.
-
-    eta = (s1, s2, s1 xi1, s2 xi2, s3 xi3) is mixture-affine; its dual
-    theta has components 1 and 2 mixing weights and state while components
-    3..5 equal atanh(xi_i) and depend on the state alone.  That separation
-    is exactly what makes the weights a harmless nuisance: slices of fixed
-    weights and slices of fixed state meet orthogonally.
-    """
-    s = weight_vector(s)
-    xi = _interior(xi)
-    if xi.size != 3:
-        raise InvalidInputError("foliation coordinates need all 3 axes")
-    eta = np.array([s[0], s[1], s[0] * xi[0], s[1] * xi[1], s[2] * xi[2]])
-    theta = np.array(
-        [
-            0.5 * np.log((s[0] / s[2]) ** 2 * (1.0 - xi[0] ** 2) / (1.0 - xi[2] ** 2)),
-            0.5 * np.log((s[1] / s[2]) ** 2 * (1.0 - xi[1] ** 2) / (1.0 - xi[2] ** 2)),
-            np.arctanh(xi[0]),
-            np.arctanh(xi[1]),
-            np.arctanh(xi[2]),
-        ]
-    )
-    return eta, theta
-
-
 def foliation_orthogonality_defect(s: WeightVector, xi: StokesVector, step: float = 1e-6) -> float:
     """Largest Fisher inner product between a state direction and a weight
     direction on the 6-outcome model; zero when the foliation is orthogonal.

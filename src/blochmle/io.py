@@ -13,7 +13,7 @@ encoder cost more per record than the estimate itself.
 
 The direct-search oracle (and with it numpy) loads only when
 ``build_estimate_report(with_oracle=True)`` or the module attribute
-``io.oracle_mle`` or ``io.OracleConfig`` first asks for it (PEP 562).
+``io.oracle_mle`` first asks for it (PEP 562).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def __getattr__(name):
-    if name not in ("OracleConfig", "oracle_mle"):
+    if name != "oracle_mle":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle  # noqa: PLC0415 - see the module docstring
 
@@ -176,11 +176,7 @@ def counts_to_csv(counts: CountRecord) -> str:
     return buf.getvalue()
 
 
-def build_estimate_report(
-    counts: CountRecord,
-    with_oracle: bool = False,
-    oracle_config: OracleConfig | None = None,
-) -> dict:
+def build_estimate_report(counts: CountRecord, with_oracle: bool = False) -> dict:
     """Run the full estimation pipeline and collect a reportable document."""
     xi_hat, s_hat = temporal_estimate(counts)
     result = project_mle(xi_hat, s_hat)
@@ -199,7 +195,7 @@ def build_estimate_report(
         report["equation_residuals"] = list(result.equation_residuals)
     if with_oracle:
         # looked up as a module attribute, so a wrapper set on io.oracle_mle runs
-        direct = sys.modules[__name__].oracle_mle(xi_hat, s_hat, oracle_config).tolist()
+        direct = sys.modules[__name__].oracle_mle(xi_hat, s_hat).tolist()
         report["oracle"] = {
             "xi": direct,
             "max_discrepancy": max(abs(d - x) for d, x in zip(direct, result.xi_star)),

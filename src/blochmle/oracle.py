@@ -2,10 +2,43 @@
 
 The estimate that the closed-form projector produces is, by definition, the
 minimizer of the empirical Kullback-Leibler divergence over the physical
-states.  This module computes that minimizer the blunt way, by a
-deterministic nested grid search in spherical angles, sharing none of the
-projector's cubic/multiplier machinery, so the two can cross-check each
+states.  This module computes that minimizer the blunt way, sharing none of
+the projector's cubic/multiplier machinery, so the two can cross-check each
 other.  It is also the slow reference method for the timing comparison.
+
+The search has two stages.  A global scan evaluates the objective on a
+180 x 180 grid in spherical angles and keeps the best point.  A Riemannian
+Newton polish then takes it to the minimum (Absil, Mahony & Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, 2008, ch. 6).  The gradient
+s_i (-p+_i / (1 + x_i) + p-_i / (1 - x_i)), with p+- = (1 +- xi_hat) / 2
+and the terms where p = 0 dropped, is projected onto the tangent plane
+by P = I - x x^T.  The Hessian is P diag(h) P - (x . grad) P, with h the
+diagonal Euclidean Hessian.  Each step is retracted onto the sphere by
+normalising.  Safeguards keep the polish from losing what the scan found:
+
+* The step uses the Hessian's eigenvalues in absolute value (Nocedal &
+  Wright, *Numerical Optimization*, 2006, sec. 3.4): the Newton step where
+  the Hessian is positive, a descent direction where it is not.  With
+  weights near 1e-6 the objective has saddles between shallow wells, and a
+  plain Newton step that falls back to minus the gradient stalled next to
+  them on 4 of 8,000 random instances.  Minus the gradient remains the
+  fallback for a step that is not finite or not a descent direction.
+* A step is at most two grid cells long, so the polish stays in the basin
+  the scan found instead of overshooting into another well.
+* A step that raises the objective is halved.  A full step is also taken
+  when it halves the Riemannian gradient: next to the minimum the
+  objective is flat to rounding, and without this the polish stopped up
+  to 1.6e-8 short with weights in [0.1, 1].
+
+The polish ends at a step shorter than 1e-15, typically after four steps,
+within about 1e-13 of the projector.  With weights down to 1e-9 it can
+run out of its 100 steps along a curved valley: on 3,000 random exterior
+instances it ended more than 1e-12 from the projector on 30.  The scan
+stays at 180 points per angle.  On those instances grids of 90, 36 and
+24 points left 38, 39 and 48 short; with weights down to 1e-6 every grid
+came within 1e-4 on all of 9,000 instances, but the coarser ones took
+more steps.  The fine scan also keeps the oracle the blunt reference that
+the speed ordering is measured against.
 
 numpy is imported inside the functions that use it, so that importing this
 module (as the estimate report does) does not load it.
@@ -14,52 +47,16 @@ module (as the estimate report does) does not load it.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
-from .core import (
-    CountRecord,
-    InvalidInputError,
-    StokesVector,
-    WeightVector,
-    norm_squared,
-    stokes_vector,
-    weight_vector,
-)
+from .core import StokesVector, WeightVector, norm_squared, stokes_vector, weight_vector
 
-# Points per dimension when re-scanning a refinement window.
-_REFINE_POINTS = 17
-
-
-class OracleConfig(
-    namedtuple(
-        "OracleConfig",
-        ["coarse_grid", "refine_iterations", "refine_shrink", "tolerance"],
-        defaults=(180, 200, 0.5, 1e-10),
-    )
-):
-    """Grid search settings: ``coarse_grid`` points per angle in the first
-    scan, up to ``refine_iterations`` window refinements, each shrinking the
-    window by ``refine_shrink``, until it is narrower than ``tolerance``."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        # the generated __new__ binds the arguments and fills in the defaults
-        self = super().__new__(cls, *args, **kwargs)
-        if self.coarse_grid < 8:
-            raise InvalidInputError(f"coarse_grid must be >= 8, got {self.coarse_grid}")
-        if not self.tolerance > 0.0:
-            raise InvalidInputError(f"tolerance must be positive, got {self.tolerance}")
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise InvalidInputError(f"refine_shrink must lie in (0, 1), got {self.refine_shrink}")
-        if self.refine_iterations < 0:
-            raise InvalidInputError("refine_iterations must be nonnegative")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # so that ``_replace`` validates too
-        return cls(*iterable)
+# Points per angle in the global scan; see the module docstring.
+_GRID = 180
+# A polish step is at most two grid cells long.  The polish stops after
+# _MAX_STEPS steps, or at a step shorter than _STEP_TOL.
+_MAX_STEP = 2.0 * math.pi / _GRID
+_MAX_STEPS = 100
+_STEP_TOL = 1e-15
 
 
 def _sphere_points(polar, azimuth):
@@ -91,47 +88,74 @@ def empirical_kl(xi_hat, s, xi):
     return float(out) if out.ndim == 0 else out
 
 
-def _minimize_on_sphere(objective, config: OracleConfig, history: list | None = None):
-    """Coarse scan in spherical angles, then iterated window refinement.
-
-    Ties go to the lowest grid index (np.argmin); the incumbent is replaced
-    only by a strictly better point, so its objective value is
-    non-increasing across iterations.  Returns the point as a numpy array.
-    """
+def _grid_minimum(xi_hat, s):
+    """The best point of the global angle scan and its objective value; ties
+    go to the lowest grid index (np.argmin)."""
     import numpy as np  # noqa: PLC0415 - see the module docstring
 
-    g = config.coarse_grid
-    polar = (np.arange(g) + 0.5) * (np.pi / g)
-    azimuth = np.arange(g) * (2.0 * np.pi / g)
-    pp, aa = np.meshgrid(polar, azimuth, indexing="ij")
-    values = objective(_sphere_points(pp, aa))
-    i, j = divmod(int(np.argmin(values)), g)
-    best_polar, best_azimuth, best_value = polar[i], azimuth[j], float(values[i, j])
-    if history is not None:
-        history.append(best_value)
-
-    # Window half-widths: 1.5 coarse cells, shrunk each pass.
-    half_polar = 1.5 * np.pi / g
-    half_azimuth = 3.0 * np.pi / g
-    offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
-    for _ in range(config.refine_iterations):
-        if max(half_polar, half_azimuth) < config.tolerance:
-            break
-        pg = np.clip(best_polar + half_polar * offsets, 0.0, np.pi)
-        ag = (best_azimuth + half_azimuth * offsets) % (2.0 * np.pi)
-        pp, aa = np.meshgrid(pg, ag, indexing="ij")
-        values = objective(_sphere_points(pp, aa))
-        i, j = divmod(int(np.argmin(values)), _REFINE_POINTS)
-        if values[i, j] < best_value:
-            best_polar, best_azimuth, best_value = pg[i], ag[j], float(values[i, j])
-        half_polar *= config.refine_shrink
-        half_azimuth *= config.refine_shrink
-        if history is not None:
-            history.append(best_value)
-    return _sphere_points(np.asarray(best_polar), np.asarray(best_azimuth))
+    polar = (np.arange(_GRID) + 0.5) * (np.pi / _GRID)
+    azimuth = np.arange(_GRID) * (2.0 * np.pi / _GRID)
+    points = _sphere_points(*np.meshgrid(polar, azimuth, indexing="ij"))
+    values = empirical_kl(xi_hat, s, points)
+    i, j = divmod(int(np.argmin(values)), _GRID)
+    return points[i, j].copy(), float(values[i, j])
 
 
-def oracle_mle(xi_hat: StokesVector, s: WeightVector, config: OracleConfig | None = None):
+def _polish(xi_hat, s, x, value):
+    """Safeguarded Riemannian Newton steps from the sphere point ``x``, whose
+    objective is ``value``; see the module docstring."""
+    import numpy as np  # noqa: PLC0415 - see the module docstring
+
+    p_plus = (1.0 + xi_hat) / 2.0
+    p_minus = (1.0 - xi_hat) / 2.0
+
+    def derivatives(x):
+        # the Euclidean gradient and diagonal Hessian, terms where p_hat = 0 dropped
+        up = np.divide(p_plus, 1.0 + x, out=np.zeros(3), where=p_plus > 0.0)
+        down = np.divide(p_minus, 1.0 - x, out=np.zeros(3), where=p_minus > 0.0)
+        grad = s * (down - up)
+        diag = s * (
+            np.divide(up, 1.0 + x, out=np.zeros(3), where=p_plus > 0.0)
+            + np.divide(down, 1.0 - x, out=np.zeros(3), where=p_minus > 0.0)
+        )
+        # their Riemannian counterparts; x x^T makes the Hessian the identity
+        # on the normal, so its eigenvectors split into x and the tangent plane
+        radial = float(x @ grad)
+        project = np.eye(3) - np.outer(x, x)
+        hessian = project @ (diag[:, None] * project) - radial * project + np.outer(x, x)
+        return grad - radial * x, hessian
+
+    gradient, hessian = derivatives(x)
+    for _ in range(_MAX_STEPS):
+        size = float(np.linalg.norm(gradient))
+        eigenvalues, vectors = np.linalg.eigh(hessian)
+        with np.errstate(all="ignore"):
+            step = -(vectors @ ((vectors.T @ gradient) / np.abs(eigenvalues)))
+        newton = bool(np.all(np.isfinite(step)) and step @ gradient < 0.0)
+        if not newton:
+            step = -gradient
+        length = float(np.linalg.norm(step))
+        if length > _MAX_STEP:
+            step, length = step * (_MAX_STEP / length), _MAX_STEP
+        t = 1.0
+        while True:
+            if t * length < _STEP_TOL:
+                return x
+            trial = x + t * step
+            trial = trial / np.linalg.norm(trial)
+            trial_value = empirical_kl(xi_hat, s, trial)
+            if trial_value <= value:
+                break
+            if newton and t == 1.0 and trial_value < np.inf:
+                if np.linalg.norm(derivatives(trial)[0]) <= 0.5 * size:
+                    break
+            t *= 0.5
+        x, value = trial, trial_value
+        gradient, hessian = derivatives(x)
+    return x
+
+
+def oracle_mle(xi_hat: StokesVector, s: WeightVector):
     """Corrected estimate by direct objective minimization on the sphere, as
     a numpy array of shape (3,).
 
@@ -142,37 +166,12 @@ def oracle_mle(xi_hat: StokesVector, s: WeightVector, config: OracleConfig | Non
 
     xi_hat = np.array(stokes_vector(xi_hat))
     s = np.array(weight_vector(s))
-    if config is None:
-        config = OracleConfig()
     if norm_squared(xi_hat) <= 1.0:
         return xi_hat
-    return _minimize_on_sphere(lambda pts: empirical_kl(xi_hat, s, pts), config)
-
-
-def negative_log_likelihood(xi: StokesVector, counts: CountRecord) -> float:
-    """-sum_i [n+_i log((1+xi_i)/2) + n-_i log((1-xi_i)/2)].
-
-    Minimizing this over the Bloch ball is the same problem as minimizing
-    the empirical KL objective built from ``temporal_estimate``; the two
-    differ by a state-independent constant and the total shot count.
-    """
-    xi = stokes_vector(xi)
-    total = 0.0
-    for i in range(3):
-        if counts.n_plus[i] > 0:
-            if xi[i] <= -1.0:
-                raise InvalidInputError(f"axis {i + 1}: xi = -1 has zero likelihood for n_plus > 0")
-            total -= counts.n_plus[i] * math.log((1.0 + xi[i]) / 2.0)
-        if counts.n_minus[i] > 0:
-            if xi[i] >= 1.0:
-                raise InvalidInputError(f"axis {i + 1}: xi = +1 has zero likelihood for n_minus > 0")
-            total -= counts.n_minus[i] * math.log((1.0 - xi[i]) / 2.0)
-    return total
+    return _polish(xi_hat, s, *_grid_minimum(xi_hat, s))
 
 
 __all__ = [
-    "OracleConfig",
     "empirical_kl",
     "oracle_mle",
-    "negative_log_likelihood",
 ]

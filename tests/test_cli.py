@@ -195,7 +195,6 @@ class TestEstimateReport:
         monkeypatch.setattr(bio, "oracle_mle", wrapper)
         report = build_estimate_report(CountRecord((90, 90, 90), (10, 10, 10)), with_oracle=True)
         assert len(calls) == 1 and report["oracle"]["max_discrepancy"] < 1e-4
-        assert bio.OracleConfig().coarse_grid == 180
         with pytest.raises(AttributeError):
             bio.no_such_name  # noqa: B018
 
@@ -235,6 +234,16 @@ class TestCliEstimate:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert main(["estimate"]) == 2
         assert "error: cannot read standard input: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_surrogateescape_stdin_exit_2(self, monkeypatch, capsys):
+        # the default stdin under a POSIX or C.UTF-8 locale, which passes the
+        # bytes that are not UTF-8 through as lone surrogates
+        data = b"\xff\xfe" + b'{"axes": 1}'
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["estimate"]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot read standard input: 'utf-8' codec can't decode byte 0xff" in err
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         counts = tmp_path / "counts.json"

@@ -16,7 +16,6 @@ from blochmle.checks import CheckOutcome
 from blochmle.core import CountRecord, InvalidInputError
 from blochmle.infogeo import dual_coordinates
 from blochmle.io import counts_to_csv, counts_to_json
-from blochmle.oracle import OracleConfig
 from blochmle.projector import project_mle
 from blochmle.simulator import SimulationSpec
 
@@ -97,14 +96,13 @@ def test_star_import_resolves_every_public_name():
         "missing = [name for name in blochmle.__all__ if name not in namespace]\n"
         "print(len(blochmle.__all__), missing, set(blochmle.__all__) <= set(dir(blochmle)))"
     )
-    assert done.stdout.split() == ["31", "[]", "True"]
+    assert done.stdout.split() == ["28", "[]", "True"]
 
 
 # One instance of each of the package's records.
 RECORDS = {
     "CountRecord": PROJECTED,
     "ProjectionResult": project_mle((0.8, 0.8, 0.8), (1 / 3, 1 / 3, 1 / 3)),
-    "OracleConfig": OracleConfig(),
     "SimulationSpec": SimulationSpec(xi_true=(0.1, 0.0, 0.0), mode="standard", n_shots=10),
     "DualCoordinates": dual_coordinates((0.1, 0.2, 0.3)),
     "CheckOutcome": CheckOutcome("name", True, "defect 0"),
@@ -144,20 +142,9 @@ def test_keyword_construction_and_equality():
 
 def test_repr_names_the_fields():
     assert repr(CountRecord((1, 2, 3), (4, 5, 6))) == "CountRecord(n_plus=(1, 2, 3), n_minus=(4, 5, 6))"
-    assert repr(OracleConfig()) == (
-        "OracleConfig(coarse_grid=180, refine_iterations=200, refine_shrink=0.5, tolerance=1e-10)"
-    )
 
 
 def test_defaults_unchanged():
-    config = OracleConfig()
-    assert (config.coarse_grid, config.refine_iterations, config.refine_shrink, config.tolerance) == (
-        180,
-        200,
-        0.5,
-        1e-10,
-    )
-    assert OracleConfig(coarse_grid=90) == (90, 200, 0.5, 1e-10)
     spec = SimulationSpec(xi_true=(0.1, 0.0, 0.0), mode="standard", n_shots=10)
     assert spec.weights is None and spec.seed == 0
 
@@ -165,8 +152,6 @@ def test_defaults_unchanged():
 def test_replace_validates_and_normalises():
     with pytest.raises(InvalidInputError, match="axis 1: no measurements recorded"):
         PROJECTED._replace(n_plus=(0, 90, 90), n_minus=(0, 10, 10))
-    with pytest.raises(InvalidInputError, match="coarse_grid must be >= 8"):
-        OracleConfig()._replace(coarse_grid=4)
     spec = RECORDS["SimulationSpec"]
     with pytest.raises(InvalidInputError, match="mode must be one of"):
         spec._replace(mode="adaptive")

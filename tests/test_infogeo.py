@@ -10,13 +10,12 @@ from blochmle.checks import (
     marginal_decomposition_defect,
     pythagorean_defect,
 )
-from blochmle.core import InvalidInputError
+from blochmle.core import InvalidInputError, stokes_vector, weight_vector
 from blochmle.infogeo import (
     canonical_divergence,
     dual_coordinates,
     finite_distribution,
     fisher_metric,
-    foliation_coordinates,
     foliation_orthogonality_defect,
     kl_divergence,
     product_distribution,
@@ -161,6 +160,32 @@ class TestFisherMetric:
 
     def test_matches_score_expectation(self):
         assert fisher_agreement_defect(100, seed=5) < 1e-8
+
+
+def foliation_coordinates(s, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed dual coordinates (eta, theta) of the 5-simplex of randomized
+    distributions, adapted to the weight/state split: the reference the
+    tests below check the foliation against.
+
+    eta = (s1, s2, s1 xi1, s2 xi2, s3 xi3) is mixture-affine; its dual
+    theta has components 1 and 2 mixing weights and state while components
+    3..5 equal atanh(xi_i) and depend on the state alone.  That separation
+    is exactly what makes the weights a harmless nuisance: slices of fixed
+    weights and slices of fixed state meet orthogonally.
+    """
+    s = weight_vector(s)
+    xi = stokes_vector(xi)
+    eta = np.array([s[0], s[1], s[0] * xi[0], s[1] * xi[1], s[2] * xi[2]])
+    theta = np.array(
+        [
+            0.5 * np.log((s[0] / s[2]) ** 2 * (1.0 - xi[0] ** 2) / (1.0 - xi[2] ** 2)),
+            0.5 * np.log((s[1] / s[2]) ** 2 * (1.0 - xi[1] ** 2) / (1.0 - xi[2] ** 2)),
+            np.arctanh(xi[0]),
+            np.arctanh(xi[1]),
+            np.arctanh(xi[2]),
+        ]
+    )
+    return eta, theta
 
 
 class TestFoliation:

@@ -1,3 +1,7 @@
+import csv
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,3 +118,19 @@ def test_error_shrinks_with_n():
     sweep = consistency_errors(n_values=(100, 1000, 10000), seeds_per_n=30, base_seed=17)
     assert sweep["median_slope"] == pytest.approx(-0.5, abs=0.2)
     assert np.all(np.diff(sweep["rmse"]) < 0.0)
+
+
+def test_sweep_script_writes_the_fitted_medians(tmp_path, monkeypatch):
+    # an even seed count, where the median is the mean of the two middle errors
+    out = tmp_path / "sweep.csv"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "consistency_sweep.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--seeds", "4", "--base-seed", "3", "--out", str(out)])
+    runpy.run_path(str(script), run_name="__main__")
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    sweep = consistency_errors(seeds_per_n=4, base_seed=3)
+    n_values = [int(row["n_shots"]) for row in rows]
+    medians = [float(row["median_error"]) for row in rows]
+    assert medians == [float(np.median(sweep["errors"][n])) for n in n_values] == sweep["median"].tolist()
+    slope = np.polyfit(np.log(n_values), np.log(medians), 1)[0]
+    assert slope == pytest.approx(sweep["median_slope"], abs=1e-12)
