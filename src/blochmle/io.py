@@ -146,6 +146,11 @@ def parse_counts_csv(text: str) -> CountRecord:
 
 
 def parse_counts(text: str, fmt: str = "auto") -> CountRecord:
+    # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" and Notepad write it;
+    # str.strip() keeps U+FEFF, so it would hide both the JSON brace and the
+    # CSV header
+    if text.startswith("\ufeff"):
+        text = text[1:]
     if not text.strip():
         raise InvalidInputError("empty input (expected a JSON or CSV counts file)")
     if fmt == "json":

@@ -10,8 +10,9 @@ for an auxiliary multiplier lam > 0 (orthogonal projection under the
 weighted metric diag(s_i / (1 - x_i^2))).  Each scalar equation has a
 unique root in [-1, 1] with a trigonometric closed form; substituting it
 reduces the norm constraint to a one-dimensional root-find in lam, solved
-by Newton steps on the analytic slope, kept inside a bracket that grows
-and bisects in log lam (see ``_solve_lambda``).
+by Halley steps on the analytic slope and curvature of the norm residual
+(both from implicit differentiation of the cubic, see ``_evaluate``), kept
+inside a bracket that grows and bisects in log lam (see ``_solve_lambda``).
 """
 
 from __future__ import annotations
@@ -130,20 +131,29 @@ def cubic_solve(mu: float, a: float) -> float:
         if f == 0.0 or fprime <= 0.0:
             break
         x -= f / fprime
-    return min(1.0, max(-1.0, x))
+    if x > 1.0:
+        return 1.0
+    if x < -1.0:
+        return -1.0
+    return x
 
 
-def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, list[float]]:
-    """r(lam) = sum x_i^2 - 1, its slope dr/dlam, the largest |dx_i/dlam| and
-    the roots x_i, from one ``cubic_solve`` per component.
+def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, float, list[float]]:
+    """r(lam) = sum x_i^2 - 1, its slope r' = dr/dlam, its curvature
+    r'' = d^2r/dlam^2, the largest |dx_i/dlam| and the roots x_i, from one
+    ``cubic_solve`` per component.
 
-    dx_i/dlam = s_i dx/dmu with dx/dmu = (a - x)/(1 + mu - 3x^2) at
-    mu_i = lam s_i, and dr/dlam = sum 2 x_i dx_i/dlam.  For |a_i| = 1 that
-    ratio is 0/0 at the kink mu_i = 2 where x_i reaches the boundary, so the
-    factored form 1/(1 + 2|x|) is used up to the kink, and 0 above it.
+    With mu_i = lam s_i, D = 1 + mu - 3x^2 and x' = dx/dmu, implicit
+    differentiation of the cubic gives x' = (a - x)/D and
+    x'' = -2 x' (1 - 3 x x') / D; then dx_i/dlam = s_i x',
+    r' = sum 2 s_i x_i x_i' and r'' = sum 2 s_i^2 (x_i'^2 + x_i x_i'').
+    For |a_i| = 1, x' is 0/0 at the kink mu_i = 2 where x_i reaches the
+    boundary, so the factored forms x' = a/(1 + 2|x|) and x'' = -2 x'^3
+    are used up to the kink, and 0 above it.
     """
     total = 0.0
     slope = 0.0
+    curvature = 0.0
     rate = 0.0
     x = []
     for s_i, a_i in zip(s, xi_hat):
@@ -154,17 +164,29 @@ def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, list[float]]:
             continue
         x_i = cubic_solve(mu, a_i)
         if abs(a_i) == 1.0:
-            dx = a_i / (1.0 + 2.0 * abs(x_i)) if mu <= 2.0 else 0.0
+            if mu <= 2.0:
+                dx = a_i / (1.0 + 2.0 * abs(x_i))
+                ddx = -2.0 * dx * dx * dx
+            else:
+                dx = ddx = 0.0
         else:
-            curvature = 1.0 + mu - 3.0 * x_i * x_i
-            # positive at the simple root; rounding near the double root can
-            # zero it, and an infinite slope then forces a bisection step
-            dx = (a_i - x_i) / curvature if curvature > 0.0 else math.inf
+            d = 1.0 + mu - 3.0 * x_i * x_i
+            if d > 0.0:
+                dx = (a_i - x_i) / d
+                ddx = -2.0 * dx * (1.0 - 3.0 * x_i * dx) / d
+            else:
+                # positive at the simple root; rounding near the double root
+                # can zero it, and an infinite slope then forces a bisection
+                # step, for which the curvature is not needed
+                dx = math.inf
+                ddx = 0.0
         total += x_i * x_i
         slope += 2.0 * x_i * s_i * dx
-        rate = max(rate, abs(s_i * dx))
+        curvature += 2.0 * s_i * s_i * (dx * dx + x_i * ddx)
+        if abs(s_i * dx) > rate:
+            rate = abs(s_i * dx)
         x.append(x_i)
-    return total - 1.0, slope, rate, x
+    return total - 1.0, slope, curvature, rate, x
 
 
 def _norm_residual(lam: float, s, xi_hat) -> float:
@@ -172,18 +194,25 @@ def _norm_residual(lam: float, s, xi_hat) -> float:
 
 
 def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[float]]:
-    """Root of r(lam) by Newton steps kept inside a bracket (rtsafe).
+    """Root of r(lam) by Halley steps kept inside a bracket (rtsafe).
 
     Returns the multiplier, the number of residual evaluations and the roots
     x_i at the multiplier.  r rises from r(0) = -1 to r(inf) = |a|^2 - 1
-    > 0, so [0, inf] brackets the root from the start.  A Newton step that
-    leaves the bracket, or is longer than half the step before last, is
-    replaced by a bisection in log lam: the geometric mean of a finite
+    > 0, so [0, inf] brackets the root from the start.  The trial step is
+    Halley's, lam - (r/r') / (1 - c) with c = r r'' / (2 r'^2), which
+    converges cubically; where |c| > 1/2 it is Newton's, lam - r/r'.  The
+    guard matters far from the root.  With weights down to 1e-300 and
+    kinks at lam = 2e75 and 2e300 (``test_nearest_kink_first``), r' is tiny
+    against r'' on the way up, c runs to -1e300 and below, and the Halley
+    step shrinks to nothing; every evaluation then falls back to a
+    bisection, 11 in all where Newton's steps need 2.  A trial step
+    that leaves the bracket, or is longer than half the step before last,
+    is replaced by a bisection in log lam: the geometric mean of a finite
     bracket, or a factor 2, 4, 16, 256, ... past its finite end, so the
     bracket spans the whole float range within a dozen evaluations.  r has a
     kink wherever a component with |a_i| = 1 reaches the boundary; a step
-    across such a point evaluates the point instead, so Newton runs on one
-    smooth piece.
+    across such a point evaluates the point instead, so the steps run on
+    one smooth piece.
     """
     kinks = [2.0 / s_i for s_i, a_i in zip(s, a) if abs(a_i) == 1.0]
     # For large mu_i, x_i^2 ~ a_i^2 - 2 a_i^2 (1 - a_i^2) / (lam s_i), so
@@ -197,7 +226,7 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
     growth = 2.0
     step = step_before = math.inf
     for evaluations in range(1, MAX_RESIDUAL_EVALUATIONS + 1):
-        r, slope, rate, x = _evaluate(lam, s, a)
+        r, slope, curvature, rate, x = _evaluate(lam, s, a)
         # |r| within tolerance, and a Newton step would move no x_i by more
         # than _ROOT_STEP_TOL, or r is down at its own rounding; the first
         # is also the exit for a float vector on the sphere whose norm^2
@@ -210,9 +239,16 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
             lo = lam
         else:
             hi = lam
-        newton = lam - r / slope if slope > 0.0 else math.nan
-        if lo < newton < hi and abs(newton - lam) <= 0.5 * step_before:
-            trial = newton
+        if slope > 0.0:
+            shift = r / slope
+            c = 0.5 * shift * curvature / slope
+            if abs(c) <= 0.5:
+                shift /= 1.0 - c
+            proposal = lam - shift
+        else:
+            proposal = math.nan
+        if lo < proposal < hi and abs(proposal - lam) <= 0.5 * step_before:
+            trial = proposal
         elif hi == math.inf:
             if lo == lam_max:
                 raise InvalidInputError(
@@ -225,9 +261,10 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
             growth *= growth
         else:
             trial = math.sqrt(lo) * math.sqrt(hi)
-        crossed = [kink for kink in kinks if lo < kink < hi and (kink < lam) != (kink < trial)]
-        if crossed:
-            trial = min(crossed, key=lambda kink: abs(kink - lam))
+        if kinks:
+            crossed = [kink for kink in kinks if lo < kink < hi and (kink < lam) != (kink < trial)]
+            if crossed:
+                trial = min(crossed, key=lambda kink: abs(kink - lam))
         if not lo < trial < hi:
             raise SolverError(f"multiplier bracket [{lo}, {hi}] closed at residual {r}")
         step_before, step = step, abs(trial - lam)

@@ -260,6 +260,44 @@ class TestCliEstimate:
         assert report["oracle"]["max_discrepancy"] < 1e-4
 
 
+BOM = "\ufeff"
+WRITERS = {"json": counts_to_json, "csv": counts_to_csv}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+class TestByteOrderMark:
+    """A counts file that starts with a UTF-8 byte-order mark, as Excel's
+    "CSV UTF-8" and Notepad write it, reads like the same file without it."""
+
+    RECORDS = (RECORD, CountRecord((90, 90, 90), (10, 10, 10)))
+
+    def test_parse_counts(self, fmt):
+        for record in self.RECORDS:
+            assert parse_counts(BOM + WRITERS[fmt](record)) == record
+            assert parse_counts(BOM + WRITERS[fmt](record), fmt) == record
+
+    def test_estimate_file(self, fmt, tmp_path, capsys):
+        for record in self.RECORDS:
+            plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+            plain.write_text(WRITERS[fmt](record), encoding="utf-8")
+            marked.write_text(BOM + WRITERS[fmt](record), encoding="utf-8")
+            assert main(["estimate", "--in", str(plain)]) == 0
+            expected = capsys.readouterr().out
+            assert main(["estimate", "--in", str(marked)]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_estimate_stdin(self, fmt, monkeypatch, capsys):
+        for record in self.RECORDS:
+            data = WRITERS[fmt](record).encode("utf-8")
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            assert main(["estimate"]) == 0
+            expected = capsys.readouterr().out
+            marked = BOM.encode("utf-8") + data
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(marked), encoding="utf-8"))
+            assert main(["estimate"]) == 0
+            assert capsys.readouterr().out == expected
+
+
 class TestCliSimulate:
     def test_pure_state_axis(self, capsys):
         assert main(["simulate", "--xi", "1,0,0", "--mode", "standard", "--N", "100", "--seed", "7"]) == 0

@@ -17,6 +17,7 @@ from blochmle.checks import (
 )
 from blochmle.core import CountRecord, InvalidInputError, norm_squared, temporal_estimate
 from blochmle.projector import (
+    _evaluate,
     _norm_residual,
     cubic_solve,
     project_mle,
@@ -181,6 +182,44 @@ class TestNormResidual:
         assert abs(_norm_residual(lam, EQUAL, xi)) < 1e-12
 
 
+def assert_curvature_matches_central_difference(a, s, lam):
+    slope, curvature = _evaluate(lam, s, a)[1:3]
+    h = 1e-5 * lam
+    central = (_evaluate(lam + h, s, a)[1] - _evaluate(lam - h, s, a)[1]) / (2.0 * h)
+    # the difference of two slopes rounds on the scale of slope / lam
+    assert abs(curvature - central) <= 1e-7 * (abs(curvature) + abs(slope) / lam)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize(
+        "a, s, lam",
+        [
+            ((0.9, 1.0, 0.0), (0.3, 0.6, 0.1), 2.0),
+            ((-1.0, 0.0, 0.7), (0.5, 0.25, 0.25), 3.9),
+        ],
+        ids=["at_+1_mu_1.2", "at_-1_mu_1.95"],
+    )
+    def test_curvature_below_a_kink_and_at_zero(self, a, s, lam):
+        # one component at +-1 with mu_i below its kink 2, one at 0
+        assert_curvature_matches_central_difference(a, s, lam)
+        assert _evaluate(lam, s, a)[4][a.index(0.0)] == 0.0
+
+    def test_curvature_matches_central_difference(self):
+        # every third instance has a component at +-1, with lam below its
+        # kink 2/s_i; every fifth has one at 0
+        rng = np.random.default_rng(47)
+        for k in range(300):
+            a = rng.uniform(-1.0, 1.0, 3)
+            if k % 3 == 1:
+                a[rng.integers(3)] = rng.choice([-1.0, 1.0])
+            if k % 5 == 2:
+                a[rng.integers(3)] = 0.0
+            s = rng.dirichlet((1.0, 1.0, 1.0))
+            pure = np.abs(a) == 1.0
+            lam = rng.uniform(0.05, 1.9) / np.max(s[pure]) if np.any(pure) else 10.0 ** rng.uniform(-1.0, 2.0)
+            assert_curvature_matches_central_difference(tuple(a), tuple(s), lam)
+
+
 class TestSolveLambda:
     def test_symmetric_frozen_value(self):
         lam = solve_lambda(EQUAL, np.array([0.8, 0.8, 0.8]))
@@ -328,6 +367,29 @@ class TestProjectMle:
         assert 0.0 < res.xi_star[0] < 1e-200
         np.testing.assert_allclose(res.xi_star[1:], [1.0, 7.765648718449669e-77], rtol=1e-15)
         assert res.residual_evaluations <= 3
+
+    def test_near_kink_component(self):
+        # 1 - xi_3 = 2^-53: not a kink, but r bends almost as sharply at
+        # mu_3 ~ 2; Newton steps took 22 evaluations here.  Its accuracy is
+        # an example of test_hard_weights_match_log_bisection.
+        res = project_mle(np.array([0.0, 1.0, 1.0 - 2.0**-53]), np.array([1e-300, 2.0**-9, 1.0 - 2.0**-9]))
+        assert res.residual_evaluations <= 12
+
+    def test_mean_evaluations_on_exterior_estimates(self):
+        # binomial counts of random pure states, 10 to 1000 shots per axis;
+        # Newton steps averaged 4.52 evaluations on these
+        rng = np.random.default_rng(41)
+        evaluations = []
+        while len(evaluations) < 500:
+            v = rng.standard_normal(3)
+            v /= np.linalg.norm(v)
+            shots = rng.integers(10, 1001, size=3)
+            n_plus = rng.binomial(shots, (1.0 + v) / 2.0)
+            counts = CountRecord(tuple(int(k) for k in n_plus), tuple(int(k) for k in shots - n_plus))
+            res = project_mle(*temporal_estimate(counts))
+            if res.was_projected:
+                evaluations.append(res.residual_evaluations)
+        assert np.mean(evaluations) <= 3.5
 
     @pytest.mark.parametrize(
         "xi_hat, s, expected",
