@@ -37,7 +37,6 @@ _SOURCES = {
     "cubic_solve": "projector",
     "project_mle": "projector",
     "projection_trajectory": "projector",
-    "solve_lambda": "projector",
     "SimulationSpec": "simulator",
     "simulate": "simulator",
 }

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
-    _score_derivatives,
+    _numeric_fisher_matrix,
     canonical_divergence,
     dual_coordinates,
     fisher_metric,
@@ -24,7 +24,7 @@ from .infogeo import (
     product_distribution,
     randomized_distribution,
 )
-from .projector import cubic_solve, project_mle, solve_lambda
+from .projector import _evaluate, cubic_solve, project_mle
 from .simulator import SimulationSpec, simulate
 
 
@@ -115,15 +115,6 @@ def pythagorean_defect(n=100, seed=0) -> float:
     return worst
 
 
-def _numeric_fisher(s, xi, step=1e-6):
-    p, derivs = _score_derivatives(s, xi, step)
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            g[i, j] = float(np.sum(derivs[i] * derivs[j] / p))
-    return g
-
-
 def fisher_agreement_defect(n=100, seed=0) -> float:
     """Entrywise gap between the analytic metric and the score-covariance
     expectation computed from the 6-outcome model by central differences."""
@@ -132,7 +123,7 @@ def fisher_agreement_defect(n=100, seed=0) -> float:
     for _ in range(n):
         s = random_weights(rng)
         xi = interior_point(rng, bound=0.95)
-        gap = np.abs(fisher_metric(xi, s) - _numeric_fisher(s, xi))
+        gap = np.abs(fisher_metric(xi, s) - _numeric_fisher_matrix(s, xi)[:3, :3])
         worst = max(worst, float(gap.max()))
     return worst
 
@@ -280,14 +271,12 @@ def lambda_monotonicity_ok(n=50, seed=0) -> bool:
     """Norm residual increases along lambda and crosses zero exactly once
     on a log grid spanning the solved multiplier."""
     rng = np.random.default_rng(seed)
-    from .projector import _norm_residual  # noqa: PLC0415 - internal on purpose
-
     for _ in range(n):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
-        lam_star = solve_lambda(s, xi_hat)
+        lam_star = project_mle(xi_hat, s).lambda_star
         grid = np.logspace(-6.0, math.log10(4.0 * lam_star), 48)
-        r = np.array([_norm_residual(g, s, xi_hat) for g in grid])
+        r = np.array([_evaluate(g, s, xi_hat)[0] for g in grid])
         if not np.all(np.diff(r) > 0.0):
             return False
         signs = np.sign(r[r != 0.0])

@@ -139,9 +139,10 @@ def fisher_metric(xi: StokesVector, s: WeightVector) -> np.ndarray:
     return np.diag(s / (1.0 - xi**2))
 
 
-def _score_derivatives(s: np.ndarray, xi: np.ndarray, step: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """6-outcome probabilities and their central-difference derivatives in
-    the (xi1, xi2, xi3, s1, s2) parametrization, s3 = 1 - s1 - s2 implicit.
+def _numeric_fisher_matrix(s: np.ndarray, xi: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """5 x 5 Fisher matrix of the 6-outcome model in the (xi1, xi2, xi3, s1,
+    s2) parametrization, s3 = 1 - s1 - s2 implicit, as the score covariance
+    sum_w dp(w) dp(w) / p(w) over central-difference derivatives.
 
     The model is affine in every parameter, so the differences are exact up
     to rounding.  No normalization checks: callers validate.
@@ -158,7 +159,11 @@ def _score_derivatives(s: np.ndarray, xi: np.ndarray, step: float) -> tuple[np.n
         derivs.append((probs(s[0], s[1], xi + e) - probs(s[0], s[1], xi - e)) / (2.0 * step))
     derivs.append((probs(s[0] + step, s[1], xi) - probs(s[0] - step, s[1], xi)) / (2.0 * step))
     derivs.append((probs(s[0], s[1] + step, xi) - probs(s[0], s[1] - step, xi)) / (2.0 * step))
-    return p, derivs
+    g = np.empty((5, 5))
+    for i in range(5):
+        for j in range(5):
+            g[i, j] = float(np.sum(derivs[i] * derivs[j] / p))
+    return g
 
 
 def foliation_orthogonality_defect(s: WeightVector, xi: StokesVector, step: float = 1e-6) -> float:
@@ -171,9 +176,4 @@ def foliation_orthogonality_defect(s: WeightVector, xi: StokesVector, step: floa
     xi = _interior(xi)
     if xi.size != 3:
         raise InvalidInputError("orthogonality defect needs all 3 axes")
-    p, derivs = _score_derivatives(s, xi, step)
-    defect = 0.0
-    for du in derivs[:3]:
-        for dv in derivs[3:]:
-            defect = max(defect, abs(float(np.sum(du * dv / p))))
-    return defect
+    return float(np.abs(_numeric_fisher_matrix(s, xi, step)[:3, 3:]).max())

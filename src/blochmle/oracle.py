@@ -39,14 +39,13 @@ stays at 180 points per angle.  On those instances grids of 90, 36 and
 came within 1e-4 on all of 9,000 instances, but the coarser ones took
 more steps.  The fine scan also keeps the oracle the blunt reference that
 the speed ordering is measured against.
-
-numpy is imported inside the functions that use it, so that importing this
-module (as the estimate report does) does not load it.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .core import StokesVector, WeightVector, norm_squared, stokes_vector, weight_vector
 
@@ -60,8 +59,6 @@ _STEP_TOL = 1e-15
 
 
 def _sphere_points(polar, azimuth):
-    import numpy as np  # noqa: PLC0415 - see the module docstring
-
     sin_p = np.sin(polar)
     return np.stack(
         [sin_p * np.cos(azimuth), sin_p * np.sin(azimuth), np.cos(polar)], axis=-1
@@ -73,8 +70,6 @@ def empirical_kl(xi_hat, s, xi):
     per-axis binary KL from the empirical estimate to each point, the
     search's objective.  Broadcasts over trailing-axis-3 arrays; returns a
     float for a single point."""
-    import numpy as np  # noqa: PLC0415 - see the module docstring
-
     xi_hat = np.asarray(xi_hat, dtype=float)
     s = np.asarray(s, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -91,8 +86,6 @@ def empirical_kl(xi_hat, s, xi):
 def _grid_minimum(xi_hat, s):
     """The best point of the global angle scan and its objective value; ties
     go to the lowest grid index (np.argmin)."""
-    import numpy as np  # noqa: PLC0415 - see the module docstring
-
     polar = (np.arange(_GRID) + 0.5) * (np.pi / _GRID)
     azimuth = np.arange(_GRID) * (2.0 * np.pi / _GRID)
     points = _sphere_points(*np.meshgrid(polar, azimuth, indexing="ij"))
@@ -104,8 +97,6 @@ def _grid_minimum(xi_hat, s):
 def _polish(xi_hat, s, x, value):
     """Safeguarded Riemannian Newton steps from the sphere point ``x``, whose
     objective is ``value``; see the module docstring."""
-    import numpy as np  # noqa: PLC0415 - see the module docstring
-
     p_plus = (1.0 + xi_hat) / 2.0
     p_minus = (1.0 - xi_hat) / 2.0
 
@@ -162,8 +153,6 @@ def oracle_mle(xi_hat: StokesVector, s: WeightVector):
     Physical inputs (norm <= 1) are returned unchanged, mirroring the
     projector's identity case.
     """
-    import numpy as np  # noqa: PLC0415 - see the module docstring
-
     xi_hat = np.array(stokes_vector(xi_hat))
     s = np.array(weight_vector(s))
     if norm_squared(xi_hat) <= 1.0:

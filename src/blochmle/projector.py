@@ -189,10 +189,6 @@ def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, float, list[f
     return total - 1.0, slope, curvature, rate, x
 
 
-def _norm_residual(lam: float, s, xi_hat) -> float:
-    return _evaluate(lam, s, xi_hat)[0]
-
-
 def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[float]]:
     """Root of r(lam) by Halley steps kept inside a bracket (rtsafe).
 
@@ -230,9 +226,11 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
         # |r| within tolerance, and a Newton step would move no x_i by more
         # than _ROOT_STEP_TOL, or r is down at its own rounding; the first
         # is also the exit for a float vector on the sphere whose norm^2
-        # rounds above 1, where r never turns positive
+        # rounds above 1, where r never turns positive.  That root step,
+        # |r| rate / r', is formed as a ratio: the product rate |r|
+        # underflows to 0 with weights near 1e-300 and would pass any slope.
         if abs(r) <= LAMBDA_RESIDUAL_TOL and (
-            abs(r) <= _RESIDUAL_FLOOR or rate * abs(r) <= _ROOT_STEP_TOL * slope
+            abs(r) <= _RESIDUAL_FLOOR or slope > 0.0 and abs(r) * (rate / slope) <= _ROOT_STEP_TOL
         ):
             return lam, evaluations, x
         if r < 0.0:
@@ -251,6 +249,10 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
             trial = proposal
         elif hi == math.inf:
             if lo == lam_max:
+                # no float multiplier lies above: r within tolerance here is
+                # the answer, and beyond tolerance there is none
+                if abs(r) <= LAMBDA_RESIDUAL_TOL:
+                    return lam, evaluations, x
                 raise InvalidInputError(
                     f"weights {list(s)} are too uneven: the multiplier exceeds the float range"
                 )
@@ -270,19 +272,6 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
         step_before, step = step, abs(trial - lam)
         lam = trial
     raise SolverError(f"multiplier residual {r} above tolerance after {evaluations} evaluations")
-
-
-def solve_lambda(s: WeightVector, xi_hat: StokesVector) -> float:
-    """Positive multiplier at which the candidate solution has unit norm.
-
-    The norm residual increases along lambda and has a single positive zero;
-    ``checks.lambda_monotonicity_ok`` scans for a second one.
-    """
-    s = weight_vector(s)
-    xi_hat = stokes_vector(xi_hat)
-    if norm_squared(xi_hat) <= 1.0:
-        raise InvalidInputError("multiplier is only defined for points outside the unit ball")
-    return _solve_lambda(s, xi_hat)[0]
 
 
 def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
@@ -326,11 +315,11 @@ def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int)
 
     xi_hat = stokes_vector(xi_hat)
     s = weight_vector(s)
-    if norm_squared(xi_hat) <= 1.0:
+    lam_star = project_mle(xi_hat, s).lambda_star
+    if lam_star is None:
         raise InvalidInputError("trajectories are only defined for points outside the unit ball")
     if n_samples < 2:
         raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
-    lam_star = _solve_lambda(s, xi_hat)[0]
     points = np.zeros((n_samples, 3))
     for k, lam in enumerate(np.linspace(0.0, lam_star, n_samples)[1:], start=1):
         points[k] = [cubic_solve(lam * s[i], xi_hat[i]) for i in range(3)]

@@ -215,6 +215,18 @@ class TestFoliation:
     def test_orthogonality_battery(self):
         assert foliation_defect(100, seed=7) < 1e-8
 
+    @pytest.mark.parametrize(
+        "s, xi",
+        [
+            ((0.5, 0.3, 0.2), (0.4, -0.2)),
+            ((0.5, 0.3, 0.3), (0.4, -0.2, 0.1)),
+        ],
+        ids=["two_components", "weights_sum_above_1"],
+    )
+    def test_orthogonality_defect_validates(self, s, xi):
+        with pytest.raises(InvalidInputError):
+            foliation_orthogonality_defect(np.array(s), np.array(xi))
+
 
 class TestDivergenceIdentities:
     def test_marginal_decomposition(self):

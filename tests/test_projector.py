@@ -18,11 +18,9 @@ from blochmle.checks import (
 from blochmle.core import CountRecord, InvalidInputError, norm_squared, temporal_estimate
 from blochmle.projector import (
     _evaluate,
-    _norm_residual,
     cubic_solve,
     project_mle,
     projection_trajectory,
-    solve_lambda,
 )
 
 EQUAL = np.array([1 / 3, 1 / 3, 1 / 3])
@@ -169,17 +167,17 @@ class TestCubicSolve:
 
 class TestNormResidual:
     def test_small_lambda_limit(self):
-        r = _norm_residual(1e-9, EQUAL, np.array([0.8, 0.8, 0.8]))
+        r = _evaluate(1e-9, EQUAL, np.array([0.8, 0.8, 0.8]))[0]
         assert r == pytest.approx(-1.0, abs=1e-6)
 
     def test_large_lambda_limit(self):
-        r = _norm_residual(1e6, EQUAL, np.array([0.8, 0.8, 0.8]))
+        r = _evaluate(1e6, EQUAL, np.array([0.8, 0.8, 0.8]))[0]
         assert r == pytest.approx(0.92, abs=1e-4)
 
     def test_zero_at_solution(self):
         xi = np.array([0.9, 0.8, 0.5])
-        lam = solve_lambda(EQUAL, xi)
-        assert abs(_norm_residual(lam, EQUAL, xi)) < 1e-12
+        lam = project_mle(xi, EQUAL).lambda_star
+        assert abs(_evaluate(lam, EQUAL, xi)[0]) < 1e-12
 
 
 def assert_curvature_matches_central_difference(a, s, lam):
@@ -222,17 +220,13 @@ class TestEvaluate:
 
 class TestSolveLambda:
     def test_symmetric_frozen_value(self):
-        lam = solve_lambda(EQUAL, np.array([0.8, 0.8, 0.8]))
+        lam = project_mle(np.array([0.8, 0.8, 0.8]), EQUAL).lambda_star
         assert lam == pytest.approx(LAMBDA_SYMMETRIC, abs=1e-9)
 
     def test_positive_and_unique_sign_change(self):
-        lam = solve_lambda(EQUAL, np.array([0.9, 0.8, 0.5]))
+        lam = project_mle(np.array([0.9, 0.8, 0.5]), EQUAL).lambda_star
         assert lam > 0.0
         assert lambda_monotonicity_ok(50, seed=17)
-
-    def test_interior_rejected(self):
-        with pytest.raises(InvalidInputError):
-            solve_lambda(EQUAL, np.array([0.6, 0.0, 0.3]))
 
 
 class TestProjectMle:
@@ -416,6 +410,42 @@ class TestProjectMle:
         # the root needs lam ~ 1.92 / 5e-324 ~ 4e323: no float reaches it
         with pytest.raises(InvalidInputError, match=named):
             project_mle(np.array([0.8, 0.8, 0.0]), np.array(s))
+
+    @pytest.mark.parametrize(
+        "xi_hat, s",
+        [
+            ((-0.36041273041295524, -0.9284414649755014, 0.0899962519056646), (1.0, 1e-300, 1.56151604262679e-264)),
+            ((0.0, 0.8498620051632402, 0.5270056419895414), (0.0007431239589749069, 1e-300, 0.9992568760410251)),
+            ((-0.5760534281890545, -0.8174123129502006, 0.0), (1e-300, 0.7426381286631487, 0.25736187133685123)),
+        ],
+    )
+    def test_stop_rule_survives_a_subnormal_slope(self, monkeypatch, xi_hat, s):
+        # lam* ~ 1e306 gives r' and max |dx_i/dlam| near 1e-313, so the
+        # product max |dx_i/dlam| * |r| underflows to 0 and, compared with
+        # _ROOT_STEP_TOL * r', accepts the first evaluation at |r| ~ 3e-13
+        accepted = []
+        real = projector._evaluate
+        monkeypatch.setattr(projector, "_evaluate", lambda *args: accepted.append(real(*args)) or accepted[-1])
+        project_mle(xi_hat, s)
+        r, slope, _, rate, _ = accepted[-1]
+        assert abs(r) <= projector._RESIDUAL_FLOOR or (
+            slope > 0.0 and abs(r) * (rate / slope) <= projector._ROOT_STEP_TOL
+        )
+        monkeypatch.undo()
+        assert_matches_reference(np.array(xi_hat), np.array(s))
+
+    @pytest.mark.parametrize(
+        "xi_hat, s",
+        [
+            # r(float max) = -2.1e-14 and -2.7e-13: within tolerance, so the
+            # largest float multiplier is the answer, not a refusal
+            ((0.7952551834795566, 0.6062729913395765, 0.0015010399936480215), (1.0, 7.130925997049705e-281, 1e-300)),
+            ((-0.007377353426788528, 0.0, -0.9999727869581019), (1.0, 1e-300, 1e-300)),
+        ],
+    )
+    def test_answered_at_the_largest_float_multiplier(self, xi_hat, s):
+        assert project_mle(xi_hat, s).lambda_star == sys.float_info.max
+        assert_matches_reference(np.array(xi_hat), np.array(s))
 
 
 class TestTrajectory:
