@@ -23,7 +23,6 @@ _SOURCES = {
     "temporal_estimate": "core",
     "weight_vector": "core",
     "DualCoordinates": "infogeo",
-    "FiniteDistribution": "infogeo",
     "canonical_divergence": "infogeo",
     "dual_coordinates": "infogeo",
     "finite_distribution": "infogeo",

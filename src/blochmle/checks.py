@@ -1,4 +1,5 @@
-"""Seeded invariant batteries behind the ``check`` CLI subcommand.
+"""Seeded invariant batteries behind the ``check`` CLI subcommand, and the
+timing battery behind ``bench``.
 
 Each battery returns its worst-case defect so callers can compare against
 the pinned tolerances; the suite wrappers turn them into named pass/fail
@@ -9,12 +10,14 @@ instance counts.
 from __future__ import annotations
 
 import math
+import time
 from collections import namedtuple
 
 import numpy as np
 
 from .core import empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
+    _DIFFERENCE_STEP,
     _numeric_fisher_matrix,
     canonical_divergence,
     dual_coordinates,
@@ -24,8 +27,16 @@ from .infogeo import (
     product_distribution,
     randomized_distribution,
 )
+from .oracle import oracle_mle
 from .projector import _evaluate, cubic_solve, project_mle
 from .simulator import SimulationSpec, simulate
+
+# consistency_errors: the pure state (1, 1, 1)/sqrt(3), measured with equal weights
+CONSISTENCY_STATE = (0.5773502691896258, 0.5773502691896258, 0.5773502691896258)
+EQUAL_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+
+# run_benchmark: the largest max-norm gap allowed between the two methods
+DISCREPANCY_TOL = 1e-4
 
 
 class CheckOutcome(namedtuple("CheckOutcome", ["name", "passed", "detail"])):
@@ -128,7 +139,7 @@ def fisher_agreement_defect(n=100, seed=0) -> float:
     return worst
 
 
-def legendre_defect(n=100, seed=0, step=1e-6) -> float:
+def legendre_defect(n=100, seed=0) -> float:
     """|eta_i - d psi / d theta_i| by central differences."""
     rng = np.random.default_rng(seed)
 
@@ -140,8 +151,8 @@ def legendre_defect(n=100, seed=0, step=1e-6) -> float:
         coords = dual_coordinates(interior_point(rng))
         for i in range(3):
             e = np.zeros(3)
-            e[i] = step
-            grad = (psi(coords.theta + e) - psi(coords.theta - e)) / (2.0 * step)
+            e[i] = _DIFFERENCE_STEP
+            grad = (psi(coords.theta + e) - psi(coords.theta - e)) / (2.0 * _DIFFERENCE_STEP)
             worst = max(worst, abs(grad - coords.eta[i]))
     return worst
 
@@ -247,8 +258,9 @@ def equivariance_defect(n=100, seed=0) -> float:
     return worst
 
 
-def cubic_grid_residuals(n_mu=25, n_a=41) -> dict:
-    """Back-substitution residuals of the closed form on a log x linear grid.
+def cubic_grid_residuals() -> dict:
+    """Back-substitution residuals of the closed form on a 25 x 41 log x
+    linear grid, mu in [1e-6, 1e6] and a in [-1, 1].
 
     The raw residual scales with the equation itself (|f'| ~ 1 + mu), and
     for mu beyond ~1e4 even the correctly rounded root exceeds 1e-12 in
@@ -257,8 +269,8 @@ def cubic_grid_residuals(n_mu=25, n_a=41) -> dict:
     """
     max_scaled = 0.0
     max_abs_moderate = 0.0
-    for mu in np.logspace(-6.0, 6.0, n_mu):
-        for a in np.linspace(-1.0, 1.0, n_a):
+    for mu in np.logspace(-6.0, 6.0, 25):
+        for a in np.linspace(-1.0, 1.0, 41):
             x = cubic_solve(float(mu), float(a))
             residual = abs(x * (1.0 - x * x) - mu * (a - x))
             max_scaled = max(max_scaled, residual / (1.0 + mu))
@@ -304,7 +316,7 @@ def reproducibility_ok(seed=0) -> bool:
 def weight_lln_defect(seed=0, n_shots=300000) -> float:
     """Max deviation of realized axis fractions from their targets, in
     units of the 5-sigma multinomial band."""
-    s = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+    s = EQUAL_WEIGHTS
     spec = SimulationSpec(xi_true=(0.2, 0.1, -0.3), mode="randomized", n_shots=n_shots, weights=s, seed=seed)
     counts = simulate(spec)
     worst = 0.0
@@ -314,32 +326,29 @@ def weight_lln_defect(seed=0, n_shots=300000) -> float:
     return worst
 
 
-def consistency_errors(
-    n_values=(100, 1000, 10000, 100000),
-    seeds_per_n=100,
-    base_seed=0,
-    xi_true=(0.5773502691896258, 0.5773502691896258, 0.5773502691896258),
-    weights=(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
-) -> dict:
-    """Estimation error versus shot count under randomized sampling.
+def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, base_seed=0) -> dict:
+    """Estimation error versus shot count under randomized sampling of
+    ``CONSISTENCY_STATE`` with ``EQUAL_WEIGHTS``.
 
     Returns the per-N error arrays, RMSEs and median errors, and the log-log
     slopes of the RMSE and the median error; both should sit near -1/2.
+    Run k at the idx-th N has seed base_seed + 100000 idx + k, modulo 2^64
+    so that every valid base seed gives valid seeds.
     """
     errors = {}
     for idx, n in enumerate(n_values):
         errs = np.empty(seeds_per_n)
         for k in range(seeds_per_n):
             spec = SimulationSpec(
-                xi_true=xi_true,
+                xi_true=CONSISTENCY_STATE,
                 mode="randomized",
                 n_shots=n,
-                weights=weights,
-                seed=base_seed + 100000 * idx + k,
+                weights=EQUAL_WEIGHTS,
+                seed=(base_seed + 100000 * idx + k) % 2**64,
             )
             xi_hat, s_hat = temporal_estimate(simulate(spec))
             x = np.asarray(project_mle(xi_hat, s_hat).xi_star)
-            errs[k] = math.sqrt(norm_squared(x - np.asarray(xi_true)))
+            errs[k] = math.sqrt(norm_squared(x - np.asarray(CONSISTENCY_STATE)))
         errors[n] = errs
     log_n = np.log(np.asarray(n_values, dtype=float))
     rmse = np.array([math.sqrt(float(np.mean(errors[n] ** 2))) for n in n_values])
@@ -353,33 +362,90 @@ def consistency_errors(
     }
 
 
+# --- timing battery ----------------------------------------------------------
+
+class BenchTrial(namedtuple("BenchTrial", ["index", "projection_ms", "oracle_ms", "discrepancy"])):
+    """One exterior point: both methods' wall times and their max-norm
+    discrepancy."""
+
+    __slots__ = ()
+
+
+class BenchResult(
+    namedtuple(
+        "BenchResult",
+        [
+            "trials",
+            "projection_mean_ms",
+            "projection_median_ms",
+            "oracle_mean_ms",
+            "oracle_median_ms",
+            "max_discrepancy",
+        ],
+    )
+):
+    """The list of ``BenchTrial`` rows and their summary statistics."""
+
+    __slots__ = ()
+
+    @property
+    def speedup(self) -> float:
+        return self.oracle_mean_ms / self.projection_mean_ms
+
+
+def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
+    """Closed-form projection against the direct-search oracle.
+
+    Each trial draws a random exterior empirical vector (equal weights), runs
+    both methods on it under the wall clock, and records the max-norm
+    discrepancy between the two answers.  Absolute times are
+    machine-dependent; the reproducible claim is the ordering.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    weights = np.asarray(EQUAL_WEIGHTS)
+    rows: list[BenchTrial] = []
+    for index in range(trials):
+        xi_hat = exterior_point(rng)
+
+        t0 = time.perf_counter()
+        projected = project_mle(xi_hat, weights)
+        t1 = time.perf_counter()
+        direct = oracle_mle(xi_hat, weights)
+        t2 = time.perf_counter()
+
+        discrepancy = float(np.max(np.abs(np.asarray(projected.xi_star) - direct)))
+        rows.append(BenchTrial(index, (t1 - t0) * 1e3, (t2 - t1) * 1e3, discrepancy))
+
+    proj = np.array([r.projection_ms for r in rows])
+    orac = np.array([r.oracle_ms for r in rows])
+    return BenchResult(
+        trials=rows,
+        projection_mean_ms=float(proj.mean()),
+        projection_median_ms=float(np.median(proj)),
+        oracle_mean_ms=float(orac.mean()),
+        oracle_median_ms=float(np.median(orac)),
+        max_discrepancy=max(r.discrepancy for r in rows),
+    )
+
+
 # --- suites -----------------------------------------------------------------
 
+def _defect_outcome(name: str, defect: float, bound: float) -> CheckOutcome:
+    return CheckOutcome(name, defect < bound, f"defect {defect:.3e}")
+
+
 def infogeo_suite(seed=0) -> list[CheckOutcome]:
-    out = []
-
-    defect = gibbs_defect(200, seed)
-    out.append(CheckOutcome("kl nonnegativity, zero only at equality", defect < 1e-12, f"defect {defect:.3e}"))
-
-    defect = canonical_kl_defect(1000, seed)
-    out.append(CheckOutcome("potential divergence equals outcome KL", defect < 1e-10, f"defect {defect:.3e}"))
-
-    defect = marginal_decomposition_defect(100, seed)
-    out.append(CheckOutcome("per-axis decomposition of 6-outcome KL", defect < 1e-12, f"defect {defect:.3e}"))
-
-    defect = pythagorean_defect(100, seed)
-    out.append(CheckOutcome("divergence additivity across foliation", defect < 1e-10, f"defect {defect:.3e}"))
-
-    defect = fisher_agreement_defect(100, seed)
-    out.append(CheckOutcome("analytic vs expectation Fisher matrix", defect < 1e-8, f"defect {defect:.3e}"))
-
-    defect = legendre_defect(100, seed)
-    out.append(CheckOutcome("eta is the theta-gradient of psi", defect < 1e-6, f"defect {defect:.3e}"))
-
-    defect = foliation_defect(100, seed)
-    out.append(CheckOutcome("weight/state slices meet orthogonally", defect < 1e-8, f"defect {defect:.3e}"))
-
-    return out
+    return [
+        _defect_outcome("kl nonnegativity, zero only at equality", gibbs_defect(200, seed), 1e-12),
+        _defect_outcome("potential divergence equals outcome KL", canonical_kl_defect(1000, seed), 1e-10),
+        _defect_outcome("per-axis decomposition of 6-outcome KL", marginal_decomposition_defect(100, seed), 1e-12),
+        _defect_outcome("divergence additivity across foliation", pythagorean_defect(100, seed), 1e-10),
+        _defect_outcome("analytic vs expectation Fisher matrix", fisher_agreement_defect(100, seed), 1e-8),
+        _defect_outcome("eta is the theta-gradient of psi", legendre_defect(100, seed), 1e-6),
+        _defect_outcome("weight/state slices meet orthogonally", foliation_defect(100, seed), 1e-8),
+    ]
 
 
 def projector_suite(seed=0) -> list[CheckOutcome]:
@@ -395,14 +461,13 @@ def projector_suite(seed=0) -> list[CheckOutcome]:
     )
     out.append(CheckOutcome("componentwise shrinkage with preserved signs", battery["shrinkage_ok"], ""))
 
-    defect = projection_orthogonality_defect(200, seed)
-    out.append(CheckOutcome("correction step is metric-normal to sphere", defect < 1e-8, f"defect {defect:.3e}"))
-
-    defect = projection_optimality_defect(20, 200, seed)
-    out.append(CheckOutcome("no sphere point beats the estimate in KL", defect < 1e-12, f"defect {defect:.3e}"))
-
-    defect = equivariance_defect(100, seed)
-    out.append(CheckOutcome("permutation and sign equivariance", defect < 1e-12, f"defect {defect:.3e}"))
+    out.append(
+        _defect_outcome("correction step is metric-normal to sphere", projection_orthogonality_defect(200, seed), 1e-8)
+    )
+    out.append(
+        _defect_outcome("no sphere point beats the estimate in KL", projection_optimality_defect(20, 200, seed), 1e-12)
+    )
+    out.append(_defect_outcome("permutation and sign equivariance", equivariance_defect(100, seed), 1e-12))
 
     grid = cubic_grid_residuals()
     out.append(

@@ -6,7 +6,7 @@ Subcommands: ``estimate`` (counts file -> JSON report), ``simulate``
 invariant suites).  Exit codes: 0 success, 1 failed invariant,
 2 bad input, 3 internal numerical failure.
 
-The modules that need numpy (simulator, bench, checks) are imported inside
+The modules that need numpy (simulator, checks) are imported inside
 the subcommands that use them, so an ``estimate`` process never loads it;
 the package's records are namedtuples, so it loads neither ``dataclasses``
 nor ``typing`` either.
@@ -78,6 +78,17 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
         raise InvalidInputError(f"{flag}: not numeric: {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    # the rule SimulationSpec enforces, applied to every --seed at parse time
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 def _parse_weights(text: str, flag: str) -> tuple[float, float, float]:
     # accepts ratios (e.g. 5,1,1) and normalizes them to fractions
     ratios = _parse_triple(text, flag)
@@ -112,7 +123,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import DISCREPANCY_TOL, run_benchmark  # noqa: PLC0415 - see the module docstring
+    from .checks import DISCREPANCY_TOL, run_benchmark  # noqa: PLC0415 - see the module docstring
 
     if args.trials < 1:
         raise InvalidInputError(f"--trials must be >= 1, got {args.trials}")
@@ -197,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["standard", "randomized"], default="standard")
     p.add_argument("--N", type=int, required=True, help="shots per axis (standard) or total (randomized)")
     p.add_argument("--s", default=None, help="axis weight ratios a,b,c, normalized (randomized mode)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", help="time projection vs direct search")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench)
 
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run seeded invariant suites")
     p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_check)
 
     return parser

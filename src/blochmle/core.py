@@ -10,8 +10,8 @@ numpy scalars) and return plain floats.
 One record's estimate is three numbers, so this module, the projector and
 the report work in plain floats and never import numpy: a ``blochmle
 estimate`` process does not pay for loading it.  Modules that work on
-arrays (the oracle, information geometry, simulator, checks and bench)
-convert with ``np.asarray`` where they need to.
+arrays (the oracle, information geometry, simulator and checks) convert
+with ``np.asarray`` where they need to.
 
 The package's records (``CountRecord`` here, ``ProjectionResult``,
 ``SimulationSpec`` and the rest) are ``collections.namedtuple`` subclasses:
@@ -85,10 +85,6 @@ class CountRecord(namedtuple("CountRecord", ["n_plus", "n_minus"])):
     @property
     def axis_totals(self) -> tuple[int, int, int]:
         return tuple(p + m for p, m in zip(self.n_plus, self.n_minus))
-
-    @property
-    def total(self) -> int:
-        return sum(self.axis_totals)
 
 
 def _shape(values) -> tuple:

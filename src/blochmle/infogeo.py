@@ -26,15 +26,16 @@ import numpy as np
 
 from .core import InvalidInputError, StokesVector, WeightVector, weight_vector
 
-# Probability vector over a fixed finite outcome set: 1-d float array,
-# strictly positive entries summing to 1.
-FiniteDistribution = np.ndarray
-
 PROB_SUM_TOL = 1e-12
 
+# Central-difference step of the numeric Fisher matrix, and of the Legendre
+# check in ``checks``.
+_DIFFERENCE_STEP = 1e-6
 
-def finite_distribution(probs) -> FiniteDistribution:
-    """Validate a probability vector on the open simplex."""
+
+def finite_distribution(probs) -> np.ndarray:
+    """Validate a probability vector on the open simplex: a 1-d float array,
+    strictly positive entries summing to 1."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise InvalidInputError(f"expected a 1-d probability vector, got shape {p.shape}")
@@ -67,7 +68,7 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def product_distribution(xi) -> FiniteDistribution:
+def product_distribution(xi) -> np.ndarray:
     """Product of per-axis binary distributions over the 2^k outcome space."""
     xi = _interior(xi)
     probs = np.array([1.0])
@@ -76,7 +77,7 @@ def product_distribution(xi) -> FiniteDistribution:
     return probs
 
 
-def randomized_distribution(s: WeightVector, xi: StokesVector) -> FiniteDistribution:
+def randomized_distribution(s: WeightVector, xi: StokesVector) -> np.ndarray:
     """6-outcome distribution of a randomized measurement: pick axis i with
     probability s_i, then observe +/-1 with probability (1 +/- xi_i)/2."""
     s = np.asarray(weight_vector(s))
@@ -139,7 +140,7 @@ def fisher_metric(xi: StokesVector, s: WeightVector) -> np.ndarray:
     return np.diag(s / (1.0 - xi**2))
 
 
-def _numeric_fisher_matrix(s: np.ndarray, xi: np.ndarray, step: float = 1e-6) -> np.ndarray:
+def _numeric_fisher_matrix(s: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """5 x 5 Fisher matrix of the 6-outcome model in the (xi1, xi2, xi3, s1,
     s2) parametrization, s3 = 1 - s1 - s2 implicit, as the score covariance
     sum_w dp(w) dp(w) / p(w) over central-difference derivatives.
@@ -151,6 +152,7 @@ def _numeric_fisher_matrix(s: np.ndarray, xi: np.ndarray, step: float = 1e-6) ->
     def probs(s1, s2, x):
         return _six_outcome(np.array([s1, s2, 1.0 - s1 - s2]), x)
 
+    step = _DIFFERENCE_STEP
     p = probs(s[0], s[1], xi)
     derivs = []
     for i in range(3):
@@ -166,14 +168,14 @@ def _numeric_fisher_matrix(s: np.ndarray, xi: np.ndarray, step: float = 1e-6) ->
     return g
 
 
-def foliation_orthogonality_defect(s: WeightVector, xi: StokesVector, step: float = 1e-6) -> float:
+def foliation_orthogonality_defect(s: WeightVector, xi: StokesVector) -> float:
     """Largest Fisher inner product between a state direction and a weight
     direction on the 6-outcome model; zero when the foliation is orthogonal.
 
-    Derivatives are central differences with the given step.
+    Derivatives are central differences (see ``_numeric_fisher_matrix``).
     """
     s = weight_vector(s)
     xi = _interior(xi)
     if xi.size != 3:
         raise InvalidInputError("orthogonality defect needs all 3 axes")
-    return float(np.abs(_numeric_fisher_matrix(s, xi, step)[:3, 3:]).max())
+    return float(np.abs(_numeric_fisher_matrix(s, xi)[:3, 3:]).max())

@@ -197,8 +197,8 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
     > 0, so [0, inf] brackets the root from the start.  The trial step is
     Halley's, lam - (r/r') / (1 - c) with c = r r'' / (2 r'^2), which
     converges cubically; where |c| > 1/2 it is Newton's, lam - r/r'.  The
-    guard matters far from the root.  With weights down to 1e-300 and
-    kinks at lam = 2e75 and 2e300 (``test_nearest_kink_first``), r' is tiny
+    guard matters far from the root.  With weights down to 1e-300 and a
+    kink at lam = 2e75, another at 2e300 (``test_nearest_kink_first``), r' is tiny
     against r'' on the way up, c runs to -1e300 and below, and the Halley
     step shrinks to nothing; every evaluation then falls back to a
     bisection, 11 in all where Newton's steps need 2.  A trial step
@@ -206,18 +206,22 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
     is replaced by a bisection in log lam: the geometric mean of a finite
     bracket, or a factor 2, 4, 16, 256, ... past its finite end, so the
     bracket spans the whole float range within a dozen evaluations.  r has a
-    kink wherever a component with |a_i| = 1 reaches the boundary; a step
-    across such a point evaluates the point instead, so the steps run on
-    one smooth piece.
+    kink wherever a component with |a_i| = 1 reaches the boundary, at
+    mu_i = 2, so lam = 2/s_i.  Only the nearest kink matters: from it on
+    that x_i is +-1 and r >= x_i^2 - 1 = 0, so the root never lies above
+    it.  The start never lies above it either, and a step across it
+    evaluates the kink instead; that evaluation either stops the solve (r
+    within rounding) or closes the bracket at the kink, so every farther
+    kink stays outside and the steps run on one smooth piece.
     """
-    kinks = [2.0 / s_i for s_i, a_i in zip(s, a) if abs(a_i) == 1.0]
+    kink = min((2.0 / s_i for s_i, a_i in zip(s, a) if abs(a_i) == 1.0), default=math.inf)
     # For large mu_i, x_i^2 ~ a_i^2 - 2 a_i^2 (1 - a_i^2) / (lam s_i), so
     # r ~ excess - spread / lam: a close start for points just outside
     excess = norm_squared(a) - 1.0
     spread = sum(2.0 * a_i * a_i * (1.0 - a_i * a_i) / s_i for s_i, a_i in zip(s, a))
     # weights may sum to 1 + 1e-12: keep every mu_i = lam s_i finite
     lam_max = _FLOAT_MAX / max(1.0, *s)
-    lam = min([spread / excess if spread > 0.0 else 1.0 / max(s), *kinks, lam_max])
+    lam = min(spread / excess if spread > 0.0 else 1.0 / max(s), kink, lam_max)
     lo, hi = 0.0, math.inf
     growth = 2.0
     step = step_before = math.inf
@@ -263,10 +267,8 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
             growth *= growth
         else:
             trial = math.sqrt(lo) * math.sqrt(hi)
-        if kinks:
-            crossed = [kink for kink in kinks if lo < kink < hi and (kink < lam) != (kink < trial)]
-            if crossed:
-                trial = min(crossed, key=lambda kink: abs(kink - lam))
+        if lam < kink < trial:
+            trial = kink
         if not lo < trial < hi:
             raise SolverError(f"multiplier bracket [{lo}, {hi}] closed at residual {r}")
         step_before, step = step, abs(trial - lam)

@@ -11,15 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from blochmle.bench import run_benchmark
 from blochmle.checks import (
     canonical_kl_defect,
     consistency_errors,
+    exterior_point,
     fisher_agreement_defect,
     foliation_defect,
     projection_optimality_defect,
     projection_residual_battery,
     pythagorean_defect,
+    random_weights,
+    run_benchmark,
 )
 from blochmle.oracle import oracle_mle
 from blochmle.projector import project_mle
@@ -54,16 +56,11 @@ def test_criterion_02_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     worst = 0.0
-    done = 0
-    while done < 100:
-        xi_hat = rng.uniform(-1.0, 1.0, 3)
-        if np.dot(xi_hat, xi_hat) <= 1.0:
-            continue
-        w = rng.uniform(0.1, 1.0, 3)
-        w /= w.sum()
+    for _ in range(100):
+        xi_hat = exterior_point(rng)
+        w = random_weights(rng)
         gap = float(np.max(np.abs(project_mle(xi_hat, w).xi_star - oracle_mle(xi_hat, w))))
         worst = max(worst, gap)
-        done += 1
     elapsed = time.perf_counter() - start
     passed = worst < 1e-4 and elapsed < 60.0
     _verdict(2, "projector vs direct search on 100 instances", passed,

@@ -324,6 +324,10 @@ class TestCliSimulate:
     def test_invalid_state_exit_2(self):
         assert main(["simulate", "--xi", "1,1,1", "--mode", "standard", "--N", "10"]) == 2
 
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["simulate", "--xi", "0.1,0,0", "--N", "10", "--seed", "-1"]) == 2
+        assert "seed must be a 64-bit unsigned integer, got -1" in capsys.readouterr().err
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "counts.json"
         assert main(["simulate", "--xi", "0.1,0,0", "--N", "10", "--out", str(out)]) == 2
@@ -379,6 +383,10 @@ class TestCliBench:
     def test_bad_trials_exit_2(self):
         assert main(["bench", "--trials", "0"]) == 2
 
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["bench", "--trials", "1", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestCliTrajectories:
     def _rows(self, capsys, *argv):
@@ -433,6 +441,11 @@ class TestCliCheck:
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["check", "--suite", "bogus"]) == 2
+
+    def test_negative_seed_exit_2(self, capsys):
+        # numpy's ValueError used to escape as exit 1, the failed-invariant code
+        assert main(["check", "--suite", "infogeo", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_every_suite_is_accepted(self):
         # the parser names the suites itself, so that it need not import checks

@@ -92,7 +92,7 @@ def test_count_record_shape_refused(n_plus, n_minus):
 def test_count_record_totals():
     rec = CountRecord((75, 90, 30), (25, 110, 70))
     assert rec.axis_totals == (100, 200, 100)
-    assert rec.total == 400
+    assert sum(rec.axis_totals) == 400
 
 
 def test_stokes_vector_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blochmle import core, oracle
+from blochmle.checks import exterior_point, random_weights
 from blochmle.core import CountRecord, InvalidInputError, stokes_vector, temporal_estimate
 from blochmle.oracle import _grid_minimum, empirical_kl, oracle_mle
 from blochmle.projector import project_mle
@@ -187,11 +188,8 @@ def test_oracle_projector_agreement_battery():
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(30):
-        xi = rng.uniform(-1.0, 1.0, 3)
-        if np.dot(xi, xi) <= 1.0:
-            continue
-        w = rng.uniform(0.1, 1.0, 3)
-        w /= w.sum()
+        xi = exterior_point(rng)
+        w = random_weights(rng)
         gap = np.max(np.abs(oracle_mle(xi, w) - project_mle(xi, w).xi_star))
         worst = max(worst, gap)
     assert worst < 1e-4

@@ -28,7 +28,7 @@ def test_spec_validation():
 def test_normalized_pure_state_accepted():
     xi = tuple(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
     spec = SimulationSpec(xi_true=xi, mode="standard", n_shots=10, seed=1)
-    assert simulate(spec).total == 30
+    assert sum(simulate(spec).axis_totals) == 30
 
 
 def test_reproducibility():
@@ -110,7 +110,7 @@ def test_randomized_mode_tallies_sum():
     spec = SimulationSpec(
         xi_true=(0.3, -0.4, 0.2), mode="randomized", n_shots=7777, weights=(0.5, 0.25, 0.25), seed=13
     )
-    assert simulate(spec).total == 7777
+    assert sum(simulate(spec).axis_totals) == 7777
 
 
 def test_error_shrinks_with_n():
@@ -118,6 +118,13 @@ def test_error_shrinks_with_n():
     sweep = consistency_errors(n_values=(100, 1000, 10000), seeds_per_n=30, base_seed=17)
     assert sweep["median_slope"] == pytest.approx(-0.5, abs=0.2)
     assert np.all(np.diff(sweep["rmse"]) < 0.0)
+
+
+def test_sweep_seeds_wrap_at_2_64():
+    # the largest valid base seed: run k = 1 at the first N wraps to seed 0
+    top = consistency_errors(n_values=(100, 1000), seeds_per_n=2, base_seed=2**64 - 1)
+    zero = consistency_errors(n_values=(100, 1000), seeds_per_n=2, base_seed=0)
+    assert top["errors"][100][1] == zero["errors"][100][0]
 
 
 def test_sweep_script_writes_the_fitted_medians(tmp_path, monkeypatch):
