@@ -72,9 +72,9 @@ class CountRecord(namedtuple("CountRecord", ["n_plus", "n_minus"])):
             raise InvalidInputError("counts are required for exactly 3 axes") from None
         plus = (_as_count(p1, 1, "n_plus"), _as_count(p2, 2, "n_plus"), _as_count(p3, 3, "n_plus"))
         minus = (_as_count(m1, 1, "n_minus"), _as_count(m2, 2, "n_minus"), _as_count(m3, 3, "n_minus"))
-        for i in range(3):
-            if plus[i] + minus[i] == 0:
-                raise InvalidInputError(f"axis {i + 1}: no measurements recorded")
+        totals = (plus[0] + minus[0], plus[1] + minus[1], plus[2] + minus[2])
+        if 0 in totals:
+            raise InvalidInputError(f"axis {totals.index(0) + 1}: no measurements recorded")
         return tuple.__new__(cls, (plus, minus))
 
     @classmethod
@@ -146,10 +146,10 @@ def temporal_estimate(counts: CountRecord) -> tuple[StokesVector, WeightVector]:
     ball; correcting that is the projector's job.  Both come from Python int
     true division, which is correctly rounded for counts of any size.
     """
-    totals = counts.axis_totals
-    total = sum(totals)
-    xi = tuple((p - m) / t for p, m, t in zip(counts.n_plus, counts.n_minus, totals))
-    return xi, tuple(t / total for t in totals)
+    (p1, p2, p3), (m1, m2, m3) = counts
+    t1, t2, t3 = p1 + m1, p2 + m2, p3 + m3
+    total = t1 + t2 + t3
+    return ((p1 - m1) / t1, (p2 - m2) / t2, (p3 - m3) / t3), (t1 / total, t2 / total, t3 / total)
 
 
 def norm_squared(xi) -> float:
@@ -166,16 +166,27 @@ def empirical_kl(xi_hat, s, xi) -> float:
     A term with empirical probability 0 drops out (0 log 0 = 0); a model
     probability of 0 against a positive empirical one gives inf.  The
     oracle's ``empirical_kl`` is the same sum over arrays of model points,
-    in the same order.
+    in the same order: the three + terms, the three - terms, then the two
+    partial sums.
     """
-    total = 0.0
-    for sign in (1.0, -1.0):
-        part = 0.0
-        for a, w, m in zip(xi_hat, s, xi):
-            p_hat = (1.0 + sign * a) / 2.0
-            if p_hat > 0.0:
-                p_model = min(1.0, max(0.0, (1.0 + sign * m) / 2.0))
-                term = p_hat * (math.log(p_hat) - math.log(p_model)) if p_model > 0.0 else math.inf
-                part += w * term
-        total += part
-    return total
+    plus = minus = 0.0
+    for a, w, m in zip(xi_hat, s, xi):
+        p_hat = (1.0 + a) / 2.0
+        if p_hat > 0.0:
+            p_model = (1.0 + m) / 2.0
+            if p_model > 0.0:  # false for NaN, which clamps to 0
+                if p_model > 1.0:
+                    p_model = 1.0
+                plus += w * (p_hat * (math.log(p_hat) - math.log(p_model)))
+            else:
+                plus += w * math.inf
+        p_hat = (1.0 - a) / 2.0
+        if p_hat > 0.0:
+            p_model = (1.0 - m) / 2.0
+            if p_model > 0.0:
+                if p_model > 1.0:
+                    p_model = 1.0
+                minus += w * (p_hat * (math.log(p_hat) - math.log(p_model)))
+            else:
+                minus += w * math.inf
+    return plus + minus

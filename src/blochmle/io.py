@@ -47,7 +47,8 @@ def _json_text(value, pad: str) -> str:
     """What ``json.dumps`` with a two-space indent returns, for dicts with
     str keys, lists, tuples, floats, ints, bools and None; any other type
     raises TypeError.  ``pad`` is the indent of the line that ``value``
-    starts on."""
+    starts on.  The containers write their float items in place, without
+    a call per leaf: a report is mostly floats."""
     if isinstance(value, float):
         text = float.__repr__(value)
         return _NON_FINITE.get(text, text)
@@ -67,39 +68,50 @@ def _json_text(value, pad: str) -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}")
+            if isinstance(item, float):
+                text = float.__repr__(item)
+                items.append(f"{encode_basestring_ascii(key)}: {_NON_FINITE.get(text, text)}")
+            else:
+                items.append(f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}")
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_json_text(item, inner) for item in value]
+        items = []
+        for item in value:
+            if isinstance(item, float):
+                text = float.__repr__(item)
+                items.append(_NON_FINITE.get(text, text))
+            else:
+                items.append(_json_text(item, inner))
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _require_int(value, field: str) -> int:
+def _require_int(value, idx: int, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"{field}: expected an integer, got {value!r}")
+        raise InvalidInputError(f"axes[{idx}].{key}: expected an integer, got {value!r}")
     return value
 
 
-def _parse_int(text: str, field: str) -> int:
+def _parse_int(text: str, row: int, column: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise InvalidInputError(f"{field}: not an integer: {text!r}") from None
+        raise InvalidInputError(f"row {row} {column}: not an integer: {text!r}") from None
 
 
-def _record(by_axis: dict) -> CountRecord:
-    """CountRecord from {axis: (n_plus, n_minus)} naming axes 1, 2 and 3."""
-    (p1, m1), (p2, m2), (p3, m3) = by_axis[1], by_axis[2], by_axis[3]
+def _record(by_axis: list) -> CountRecord:
+    """CountRecord from [unused, (n_plus, n_minus) of axis 1, of axis 2, of
+    axis 3]."""
+    _, (p1, m1), (p2, m2), (p3, m3) = by_axis
     return CountRecord((p1, p2, p3), (m1, m2, m3))
 
 
 def parse_counts_json(text: str) -> CountRecord:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of more than 4,300 digits
         raise InvalidInputError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise InvalidInputError("not valid JSON: arrays or objects nested too deeply") from None
@@ -108,56 +120,60 @@ def parse_counts_json(text: str) -> CountRecord:
     axes = doc["axes"]
     if not isinstance(axes, list) or len(axes) != 3:
         raise InvalidInputError("axes: expected a list of exactly 3 records")
-    by_axis = {}
+    by_axis = [None, None, None, None]
     for idx, rec in enumerate(axes):
         if not isinstance(rec, dict):
             raise InvalidInputError(f"axes[{idx}]: expected an object")
-        for key in ("axis", "n_plus", "n_minus"):
-            if key not in rec:
-                raise InvalidInputError(f"axes[{idx}].{key}: missing field")
-        axis = _require_int(rec["axis"], f"axes[{idx}].axis")
+        try:
+            axis, n_plus, n_minus = rec["axis"], rec["n_plus"], rec["n_minus"]
+        except KeyError as exc:  # the first of the three that is missing
+            raise InvalidInputError(f"axes[{idx}].{exc.args[0]}: missing field") from None
+        axis = _require_int(axis, idx, "axis")
         if axis not in (1, 2, 3):
             raise InvalidInputError(f"axes[{idx}].axis: expected 1, 2, or 3, got {axis}")
-        if axis in by_axis:
+        if by_axis[axis] is not None:
             raise InvalidInputError(f"axes[{idx}].axis: duplicate axis {axis}")
-        by_axis[axis] = (
-            _require_int(rec["n_plus"], f"axes[{idx}].n_plus"),
-            _require_int(rec["n_minus"], f"axes[{idx}].n_minus"),
-        )
+        by_axis[axis] = (_require_int(n_plus, idx, "n_plus"), _require_int(n_minus, idx, "n_minus"))
     return _record(by_axis)
 
 
 def parse_counts_csv(text: str) -> CountRecord:
-    rows = list(csv.reader(_io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    try:
+        rows = list(csv.reader(_io.StringIO(text)))
+    except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+        raise InvalidInputError(f"not valid CSV: {exc}") from None
+    # drop the rows that are empty or all blanks
+    rows = [r for r in rows if "".join(r).strip()]
     if not rows or [c.strip() for c in rows[0]] != COUNTS_CSV_HEADER:
         raise InvalidInputError(f"header: expected {','.join(COUNTS_CSV_HEADER)}")
     if len(rows) != 4:
         raise InvalidInputError(f"expected exactly 3 data rows, got {len(rows) - 1}")
-    by_axis = {}
-    for idx, row in enumerate(rows[1:]):
-        if len(row) != 3:
-            raise InvalidInputError(f"row {idx + 1}: expected 3 columns, got {len(row)}")
-        axis = _parse_int(row[0], f"row {idx + 1} axis")
-        if axis not in (1, 2, 3) or axis in by_axis:
-            raise InvalidInputError(f"row {idx + 1} axis: bad or duplicate axis {row[0]!r}")
-        by_axis[axis] = (_parse_int(row[1], f"row {idx + 1} n_plus"), _parse_int(row[2], f"row {idx + 1} n_minus"))
+    by_axis = [None, None, None, None]
+    for row in 1, 2, 3:
+        cells = rows[row]
+        if len(cells) != 3:
+            raise InvalidInputError(f"row {row}: expected 3 columns, got {len(cells)}")
+        axis = _parse_int(cells[0], row, "axis")
+        if axis not in (1, 2, 3) or by_axis[axis] is not None:
+            raise InvalidInputError(f"row {row} axis: bad or duplicate axis {cells[0]!r}")
+        by_axis[axis] = (_parse_int(cells[1], row, "n_plus"), _parse_int(cells[2], row, "n_minus"))
     return _record(by_axis)
 
 
 def parse_counts(text: str, fmt: str = "auto") -> CountRecord:
     # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" and Notepad write it;
-    # str.strip() keeps U+FEFF, so it would hide both the JSON brace and the
+    # str.lstrip() keeps U+FEFF, so it would hide both the JSON brace and the
     # CSV header
     if text.startswith("\ufeff"):
         text = text[1:]
-    if not text.strip():
+    head = text.lstrip()
+    if not head:
         raise InvalidInputError("empty input (expected a JSON or CSV counts file)")
     if fmt == "json":
         return parse_counts_json(text)
     if fmt == "csv":
         return parse_counts_csv(text)
-    if text.lstrip().startswith("{"):
+    if head.startswith("{"):
         return parse_counts_json(text)
     return parse_counts_csv(text)
 

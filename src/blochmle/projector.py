@@ -96,7 +96,7 @@ def cubic_solve(mu: float, a: float) -> float:
         raise InvalidInputError(f"a must lie in [-1, 1], got {a}")
     if a == 0.0:
         return 0.0
-    if abs(a) == 1.0:
+    if a == 1.0 or a == -1.0:
         if mu >= 2.0:
             # also keeps 4 mu from overflowing for mu near the largest float
             return math.copysign(1.0, a)
@@ -124,13 +124,16 @@ def cubic_solve(mu: float, a: float) -> float:
     # mu -> 2, |a| -> 1, where f' can round to <= 0 and the step is skipped.
     # There f' is small, so f needs 1 - x^2 as (1 - x)(1 + x), exact to a
     # rounding; 1 - x * x loses up to eps / (1 - x^2) of it and leaves the
-    # root about eps / f' from where it should be.
-    for _ in range(2):
+    # root about eps / f' from where it should be.  Each step is skipped,
+    # and the polish ends, where f is 0 or f' <= 0.
+    f = x * ((1.0 - x) * (1.0 + x)) - mu * (a - x)
+    fprime = 1.0 + mu - 3.0 * x * x
+    if not (f == 0.0 or fprime <= 0.0):
+        x -= f / fprime
         f = x * ((1.0 - x) * (1.0 + x)) - mu * (a - x)
         fprime = 1.0 + mu - 3.0 * x * x
-        if f == 0.0 or fprime <= 0.0:
-            break
-        x -= f / fprime
+        if not (f == 0.0 or fprime <= 0.0):
+            x -= f / fprime
     if x > 1.0:
         return 1.0
     if x < -1.0:
@@ -163,7 +166,7 @@ def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, float, list[f
             x.append(0.0)
             continue
         x_i = cubic_solve(mu, a_i)
-        if abs(a_i) == 1.0:
+        if a_i == 1.0 or a_i == -1.0:
             if mu <= 2.0:
                 dx = a_i / (1.0 + 2.0 * abs(x_i))
                 ddx = -2.0 * dx * dx * dx
@@ -183,8 +186,9 @@ def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, float, list[f
         total += x_i * x_i
         slope += 2.0 * x_i * s_i * dx
         curvature += 2.0 * s_i * s_i * (dx * dx + x_i * ddx)
-        if abs(s_i * dx) > rate:
-            rate = abs(s_i * dx)
+        rate_i = abs(s_i * dx)
+        if rate_i > rate:
+            rate = rate_i
         x.append(x_i)
     return total - 1.0, slope, curvature, rate, x
 
@@ -214,14 +218,26 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
     within rounding) or closes the bracket at the kink, so every farther
     kink stays outside and the steps run on one smooth piece.
     """
-    kink = min((2.0 / s_i for s_i, a_i in zip(s, a) if abs(a_i) == 1.0), default=math.inf)
+    # One pass gives the nearest kink, the largest weight and the spread.
     # For large mu_i, x_i^2 ~ a_i^2 - 2 a_i^2 (1 - a_i^2) / (lam s_i), so
     # r ~ excess - spread / lam: a close start for points just outside
+    kink = math.inf
+    spread = 0.0
+    largest = 0.0
+    for s_i, a_i in zip(s, a):
+        if (a_i == 1.0 or a_i == -1.0) and 2.0 / s_i < kink:
+            kink = 2.0 / s_i
+        spread += 2.0 * a_i * a_i * (1.0 - a_i * a_i) / s_i
+        if s_i > largest:
+            largest = s_i
     excess = norm_squared(a) - 1.0
-    spread = sum(2.0 * a_i * a_i * (1.0 - a_i * a_i) / s_i for s_i, a_i in zip(s, a))
     # weights may sum to 1 + 1e-12: keep every mu_i = lam s_i finite
-    lam_max = _FLOAT_MAX / max(1.0, *s)
-    lam = min(spread / excess if spread > 0.0 else 1.0 / max(s), kink, lam_max)
+    lam_max = _FLOAT_MAX / largest if largest > 1.0 else _FLOAT_MAX
+    lam = spread / excess if spread > 0.0 else 1.0 / largest
+    if kink < lam:
+        lam = kink
+    if lam_max < lam:
+        lam = lam_max
     lo, hi = 0.0, math.inf
     growth = 2.0
     step = step_before = math.inf
@@ -285,28 +301,16 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
     xi_hat = stokes_vector(xi_hat)
     s = weight_vector(s)
     nsq = norm_squared(xi_hat)
+    # ProjectionResult's fields by position, as listed in its docstring: a
+    # call by keyword costs about twice as much
     if nsq <= 1.0:
-        return ProjectionResult(
-            xi_star=xi_hat,
-            was_projected=False,
-            lambda_star=None,
-            norm_residual=abs(nsq - 1.0),
-            equation_residuals=None,
-            residual_evaluations=0,
-        )
+        return ProjectionResult(xi_hat, False, None, abs(nsq - 1.0), None, 0)
     lam, evaluations, x = _solve_lambda(s, xi_hat)
     residuals = []
     for x_i, s_i, a_i in zip(x, s, xi_hat):
         mu = lam * s_i
         residuals.append(abs(x_i * (1.0 - x_i * x_i) - mu * (a_i - x_i)) / (1.0 + mu))
-    return ProjectionResult(
-        xi_star=tuple(x),
-        was_projected=True,
-        lambda_star=lam,
-        norm_residual=abs(norm_squared(x) - 1.0),
-        equation_residuals=tuple(residuals),
-        residual_evaluations=evaluations,
-    )
+    return ProjectionResult(tuple(x), True, lam, abs(norm_squared(x) - 1.0), tuple(residuals), evaluations)
 
 
 def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int):

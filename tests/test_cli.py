@@ -66,6 +66,26 @@ class TestCountsFormats:
         with pytest.raises(InvalidInputError, match="3 data rows"):
             parse_counts_csv("axis,n_plus,n_minus\n1,1,1\n2,1,1\n")
 
+    @pytest.mark.parametrize("idx", [0, 1, 2])
+    @pytest.mark.parametrize("key", ["axis", "n_plus", "n_minus"])
+    @pytest.mark.parametrize("value", ["7", 1.5, True, None], ids=["str", "float", "bool", "null"])
+    def test_json_field_messages(self, idx, key, value):
+        axes = [{"axis": i + 1, "n_plus": 1, "n_minus": 1} for i in range(3)]
+        axes[idx][key] = value
+        with pytest.raises(InvalidInputError) as info:
+            parse_counts_json(json.dumps({"axes": axes}))
+        assert str(info.value) == f"axes[{idx}].{key}: expected an integer, got {value!r}"
+
+    @pytest.mark.parametrize("row", [1, 2, 3])
+    @pytest.mark.parametrize("column", ["axis", "n_plus", "n_minus"])
+    def test_csv_field_messages(self, row, column):
+        rows = [[str(axis), "1", "1"] for axis in (1, 2, 3)]
+        rows[row - 1][bio.COUNTS_CSV_HEADER.index(column)] = " 1.5"
+        text = "axis,n_plus,n_minus\n" + "".join(",".join(cells) + "\n" for cells in rows)
+        with pytest.raises(InvalidInputError) as info:
+            parse_counts_csv(text)
+        assert str(info.value) == f"row {row} {column}: not an integer: ' 1.5'"
+
     def test_report_floats_roundtrip(self):
         report = build_estimate_report(CountRecord((90, 90, 90), (10, 10, 10)))
         parsed = json.loads(report_to_json(report))
@@ -218,6 +238,21 @@ class TestCliEstimate:
         path.write_text('{"axes": [{"axis": 1, "n_plus": -3, "n_minus": 1}]}')
         assert main(["estimate", "--in", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_count_over_4300_digits_exit_2(self, tmp_path, capsys):
+        # json.loads refuses it with a ValueError that is no JSONDecodeError
+        axes = [{"axis": i + 1, "n_plus": 1, "n_minus": 1} for i in range(3)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"axes": axes}).replace('"n_plus": 1', '"n_plus": ' + "9" * 5000, 1))
+        assert main(["estimate", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: not valid JSON: Exceeds the limit (4300 digits) for integer string conversion" in err
+
+    def test_csv_field_over_size_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("axis,n_plus,n_minus\n1," + "9" * 200_000 + ",1\n2,1,1\n3,1,1\n")
+        assert main(["estimate", "--in", str(path)]) == 2
+        assert "error: not valid CSV: field larger than field limit (131072)" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["estimate", "--in", str(tmp_path / "nope.json")]) == 2

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochmle import oracle
+from blochmle.checks import exterior_point, interior_point, random_weights
 from blochmle.core import (
     CountRecord,
     InvalidInputError,
+    empirical_kl,
     norm_squared,
     stokes_vector,
     temporal_estimate,
@@ -211,3 +214,50 @@ def test_estimate_scale_invariance(rec):
     # (2a)/(2b) rounds identically to a/b, so equality is exact.
     np.testing.assert_array_equal(xi1, xi2)
     np.testing.assert_array_equal(s1, s2)
+
+
+def _kl_points(rng):
+    """(xi_hat, model point) pairs: random interior and exterior points, some
+    components set to exactly +-1 on either side."""
+    for k in range(600):
+        xi_hat = (interior_point(rng) if k % 2 else exterior_point(rng)).tolist()
+        xi = (interior_point(rng) if k % 3 else exterior_point(rng)).tolist()
+        for point in (xi_hat, xi):
+            for i in range(3):
+                if rng.random() < 0.2:
+                    point[i] = float(rng.choice([-1.0, 1.0]))
+        yield xi_hat, xi
+
+
+def test_empirical_kl_matches_oracle():
+    # same terms in the same order; numpy's log and math.log may differ by
+    # an ulp, so allow a few ulps of the largest term
+    rng = np.random.default_rng(2016)
+    infinite = dropped = 0
+    for xi_hat, xi in _kl_points(rng):
+        s = random_weights(rng).tolist()
+        got = empirical_kl(xi_hat, s, xi)
+        want = oracle.empirical_kl(xi_hat, s, xi)
+        assert type(got) is float
+        if math.isinf(want) or math.isinf(got):
+            assert got == want == math.inf
+            infinite += 1
+            continue
+        p = np.concatenate([(1.0 + np.asarray(xi_hat)) / 2.0, (1.0 - np.asarray(xi_hat)) / 2.0])
+        q = np.clip(np.concatenate([(1.0 + np.asarray(xi)) / 2.0, (1.0 - np.asarray(xi)) / 2.0]), 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0.0, np.tile(s, 2) * p * (np.abs(np.log(p)) + np.abs(np.log(q))), 0.0)
+        assert abs(got - want) <= 8.0 * np.finfo(float).eps * terms.max()
+        dropped += 0.0 in p
+    assert infinite > 50 and dropped > 50
+
+
+def test_empirical_kl_edge_terms():
+    s = (0.5, 0.25, 0.25)
+    assert empirical_kl((0.2, -0.3, 0.4), s, (0.2, -0.3, 0.4)) == 0.0
+    # p_hat = 0 drops out, so a model probability of 0 on that side is fine
+    assert math.isfinite(empirical_kl((1.0, -1.0, 0.0), s, (1.0, -1.0, 0.0)))
+    # a model probability of 0 against a positive empirical one
+    assert empirical_kl((0.5, 0.0, 0.0), s, (1.0, 0.0, 0.0)) == math.inf
+    # NaN model components clamp to probability 0 on both sides
+    assert empirical_kl((0.5, 0.0, 0.0), s, (math.nan, 0.0, 0.0)) == math.inf
