@@ -22,9 +22,11 @@ def main():
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--out", default="sweep.csv")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
-    n_values = (100, 1000, 10000, 100000)
-    sweep = consistency_errors(n_values=n_values, seeds_per_n=args.seeds, base_seed=args.base_seed)
+    sweep = consistency_errors(seeds_per_n=args.seeds, base_seed=args.base_seed)
+    n_values = list(sweep["errors"])
 
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)

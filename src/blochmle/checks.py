@@ -3,8 +3,8 @@ timing battery behind ``bench``.
 
 Each battery returns its worst-case defect so callers can compare against
 the pinned tolerances; the suite wrappers turn them into named pass/fail
-outcomes.  The acceptance tests reuse these functions with the full
-instance counts.
+outcomes.  Each battery fixes its own size and takes only a seed, so the
+suites, the tests and the acceptance criteria all run it at that size.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ def sphere_point(rng):
 
 # --- distribution-geometry batteries --------------------------------------
 
-def gibbs_defect(n_pairs=200, seed=0) -> float:
+def gibbs_defect(seed=0) -> float:
     """Worst violation of kl >= 0 (equality only at p = q)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(200):
         size = int(rng.integers(2, 7))
         p = rng.random(size) + 0.05
         q = rng.random(size) + 0.05
@@ -84,12 +84,12 @@ def gibbs_defect(n_pairs=200, seed=0) -> float:
     return worst
 
 
-def canonical_kl_defect(n_pairs=1000, seed=0) -> float:
+def canonical_kl_defect(seed=0) -> float:
     """Max |potential-based divergence - outcome-sum KL| over k in {1,2,3}."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in (1, 2, 3):
-        for _ in range(n_pairs):
+        for _ in range(1000):
             p_xi = interior_point(rng, k)
             q_xi = interior_point(rng, k)
             direct = kl_divergence(product_distribution(p_xi), product_distribution(q_xi))
@@ -97,11 +97,11 @@ def canonical_kl_defect(n_pairs=1000, seed=0) -> float:
     return worst
 
 
-def marginal_decomposition_defect(n=100, seed=0) -> float:
+def marginal_decomposition_defect(seed=0) -> float:
     """6-outcome KL at shared weights vs the weighted sum of binary KLs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         s = random_weights(rng)
         xi_p = interior_point(rng)
         xi_q = interior_point(rng)
@@ -111,12 +111,12 @@ def marginal_decomposition_defect(n=100, seed=0) -> float:
     return worst
 
 
-def pythagorean_defect(n=100, seed=0) -> float:
+def pythagorean_defect(seed=0) -> float:
     """Additivity D(p_hat||p) = D(p_hat||mid) + D(mid||p) across the
     weight/state foliation, for random weights and states on both sides."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         s_hat, s = random_weights(rng), random_weights(rng)
         xi_hat, xi = interior_point(rng), interior_point(rng)
         top = randomized_distribution(s_hat, xi_hat)
@@ -126,12 +126,12 @@ def pythagorean_defect(n=100, seed=0) -> float:
     return worst
 
 
-def fisher_agreement_defect(n=100, seed=0) -> float:
+def fisher_agreement_defect(seed=0) -> float:
     """Entrywise gap between the analytic metric and the score-covariance
     expectation computed from the 6-outcome model by central differences."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         s = random_weights(rng)
         xi = interior_point(rng, bound=0.95)
         gap = np.abs(fisher_metric(xi, s) - _numeric_fisher_matrix(s, xi)[:3, :3])
@@ -139,7 +139,7 @@ def fisher_agreement_defect(n=100, seed=0) -> float:
     return worst
 
 
-def legendre_defect(n=100, seed=0) -> float:
+def legendre_defect(seed=0) -> float:
     """|eta_i - d psi / d theta_i| by central differences."""
     rng = np.random.default_rng(seed)
 
@@ -147,7 +147,7 @@ def legendre_defect(n=100, seed=0) -> float:
         return float(np.logaddexp(0.0, theta).sum())
 
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         coords = dual_coordinates(interior_point(rng))
         for i in range(3):
             e = np.zeros(3)
@@ -157,10 +157,10 @@ def legendre_defect(n=100, seed=0) -> float:
     return worst
 
 
-def foliation_defect(n=100, seed=0) -> float:
+def foliation_defect(seed=0) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         worst = max(
             worst,
             foliation_orthogonality_defect(random_weights(rng), interior_point(rng, bound=0.95)),
@@ -170,13 +170,13 @@ def foliation_defect(n=100, seed=0) -> float:
 
 # --- projector batteries ---------------------------------------------------
 
-def projection_residual_battery(n=1000, seed=0) -> dict:
+def projection_residual_battery(seed=0) -> dict:
     """Residuals and shrinkage over random exterior inputs, random weights."""
     rng = np.random.default_rng(seed)
     max_norm_residual = 0.0
     max_equation_residual = 0.0
     shrinkage_ok = True
-    for _ in range(n):
+    for _ in range(1000):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
         res = project_mle(xi_hat, s)
@@ -195,13 +195,13 @@ def projection_residual_battery(n=1000, seed=0) -> dict:
     }
 
 
-def projection_orthogonality_defect(n=200, seed=0) -> float:
+def projection_orthogonality_defect(seed=0) -> float:
     """Fisher-metric angle between the correction step and the sphere's
     tangent plane at the projected point; excludes metric-singular axes."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
-    while checked < n:
+    while checked < 200:
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
         x = np.asarray(project_mle(xi_hat, s).xi_star)
@@ -222,28 +222,28 @@ def projection_orthogonality_defect(n=200, seed=0) -> float:
     return worst
 
 
-def projection_optimality_defect(instances=20, sphere_samples=200, seed=0) -> float:
+def projection_optimality_defect(seed=0) -> float:
     """How much a random sphere point ever beats the projected estimate in
     empirical KL (positive would contradict global optimality)."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
-    for _ in range(instances):
+    for _ in range(20):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
         x = project_mle(xi_hat, s).xi_star
         base = kl_divergence(randomized_distribution(s, xi_hat), randomized_distribution(s, x))
-        for _ in range(sphere_samples):
+        for _ in range(200):
             r = sphere_point(rng)
             rival = kl_divergence(randomized_distribution(s, xi_hat), randomized_distribution(s, r))
             worst = max(worst, base - rival)
     return worst
 
 
-def equivariance_defect(n=100, seed=0) -> float:
+def equivariance_defect(seed=0) -> float:
     """Axis permutations permute the answer; sign flips flip it."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
         x = np.asarray(project_mle(xi_hat, s).xi_star)
@@ -279,11 +279,11 @@ def cubic_grid_residuals() -> dict:
     return {"max_scaled": max_scaled, "max_abs_moderate": max_abs_moderate}
 
 
-def lambda_monotonicity_ok(n=50, seed=0) -> bool:
+def lambda_monotonicity_ok(seed=0) -> bool:
     """Norm residual increases along lambda and crosses zero exactly once
     on a log grid spanning the solved multiplier."""
     rng = np.random.default_rng(seed)
-    for _ in range(n):
+    for _ in range(50):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
         lam_star = project_mle(xi_hat, s).lambda_star
@@ -313,10 +313,11 @@ def reproducibility_ok(seed=0) -> bool:
     return all(simulate(spec) == simulate(spec) for spec in specs)
 
 
-def weight_lln_defect(seed=0, n_shots=300000) -> float:
+def weight_lln_defect(seed=0) -> float:
     """Max deviation of realized axis fractions from their targets, in
     units of the 5-sigma multinomial band."""
     s = EQUAL_WEIGHTS
+    n_shots = 300000
     spec = SimulationSpec(xi_true=(0.2, 0.1, -0.3), mode="randomized", n_shots=n_shots, weights=s, seed=seed)
     counts = simulate(spec)
     worst = 0.0
@@ -438,20 +439,20 @@ def _defect_outcome(name: str, defect: float, bound: float) -> CheckOutcome:
 
 def infogeo_suite(seed=0) -> list[CheckOutcome]:
     return [
-        _defect_outcome("kl nonnegativity, zero only at equality", gibbs_defect(200, seed), 1e-12),
-        _defect_outcome("potential divergence equals outcome KL", canonical_kl_defect(1000, seed), 1e-10),
-        _defect_outcome("per-axis decomposition of 6-outcome KL", marginal_decomposition_defect(100, seed), 1e-12),
-        _defect_outcome("divergence additivity across foliation", pythagorean_defect(100, seed), 1e-10),
-        _defect_outcome("analytic vs expectation Fisher matrix", fisher_agreement_defect(100, seed), 1e-8),
-        _defect_outcome("eta is the theta-gradient of psi", legendre_defect(100, seed), 1e-6),
-        _defect_outcome("weight/state slices meet orthogonally", foliation_defect(100, seed), 1e-8),
+        _defect_outcome("kl nonnegativity, zero only at equality", gibbs_defect(seed), 1e-12),
+        _defect_outcome("potential divergence equals outcome KL", canonical_kl_defect(seed), 1e-10),
+        _defect_outcome("per-axis decomposition of 6-outcome KL", marginal_decomposition_defect(seed), 1e-12),
+        _defect_outcome("divergence additivity across foliation", pythagorean_defect(seed), 1e-10),
+        _defect_outcome("analytic vs expectation Fisher matrix", fisher_agreement_defect(seed), 1e-8),
+        _defect_outcome("eta is the theta-gradient of psi", legendre_defect(seed), 1e-6),
+        _defect_outcome("weight/state slices meet orthogonally", foliation_defect(seed), 1e-8),
     ]
 
 
 def projector_suite(seed=0) -> list[CheckOutcome]:
     out = []
 
-    battery = projection_residual_battery(1000, seed)
+    battery = projection_residual_battery(seed)
     out.append(
         CheckOutcome(
             "projection residuals on 1000 exterior points",
@@ -462,12 +463,12 @@ def projector_suite(seed=0) -> list[CheckOutcome]:
     out.append(CheckOutcome("componentwise shrinkage with preserved signs", battery["shrinkage_ok"], ""))
 
     out.append(
-        _defect_outcome("correction step is metric-normal to sphere", projection_orthogonality_defect(200, seed), 1e-8)
+        _defect_outcome("correction step is metric-normal to sphere", projection_orthogonality_defect(seed), 1e-8)
     )
     out.append(
-        _defect_outcome("no sphere point beats the estimate in KL", projection_optimality_defect(20, 200, seed), 1e-12)
+        _defect_outcome("no sphere point beats the estimate in KL", projection_optimality_defect(seed), 1e-12)
     )
-    out.append(_defect_outcome("permutation and sign equivariance", equivariance_defect(100, seed), 1e-12))
+    out.append(_defect_outcome("permutation and sign equivariance", equivariance_defect(seed), 1e-12))
 
     grid = cubic_grid_residuals()
     out.append(
@@ -478,7 +479,7 @@ def projector_suite(seed=0) -> list[CheckOutcome]:
         )
     )
 
-    ok = lambda_monotonicity_ok(50, seed)
+    ok = lambda_monotonicity_ok(seed)
     out.append(CheckOutcome("norm residual monotone in the multiplier", ok, ""))
 
     return out
@@ -514,9 +515,3 @@ SUITES = {
     "simulator": simulator_suite,
 }
 
-
-def run_suites(names, seed=0) -> list[CheckOutcome]:
-    outcomes = []
-    for name in names:
-        outcomes.extend(SUITES[name](seed))
-    return outcomes

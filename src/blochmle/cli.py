@@ -99,7 +99,7 @@ def _parse_weights(text: str, flag: str) -> tuple[float, float, float]:
 
 
 def _cmd_estimate(args) -> int:
-    counts = parse_counts(_read_input(args.infile), args.format)
+    counts = parse_counts(_read_input(args.infile))
     report = build_estimate_report(counts, with_oracle=args.oracle)
     _write_output(args.out, report_to_json(report))
     return EXIT_OK
@@ -175,10 +175,10 @@ def _cmd_trajectories(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .checks import SUITES, run_suites  # noqa: PLC0415 - see the module docstring
+    from .checks import SUITES  # noqa: PLC0415 - see the module docstring
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    outcomes = run_suites(names, args.seed)
+    outcomes = [outcome for name in names for outcome in SUITES[name](args.seed)]
     for outcome in outcomes:
         status = "PASS" if outcome.passed else "FAIL"
         detail = f" ({outcome.detail})" if outcome.detail else ""
@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="counts file -> JSON estimate report")
     p.add_argument("--in", dest="infile", default="-", help="counts file (JSON or CSV), '-' for stdin")
     p.add_argument("--out", default="-", help="report destination, '-' for stdout")
-    p.add_argument("--format", choices=["auto", "json", "csv"], default="auto")
     p.add_argument("--oracle", action="store_true", help="also run the direct-search cross-check")
     p.set_defaults(func=_cmd_estimate)
 

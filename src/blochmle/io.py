@@ -160,7 +160,9 @@ def parse_counts_csv(text: str) -> CountRecord:
     return _record(by_axis)
 
 
-def parse_counts(text: str, fmt: str = "auto") -> CountRecord:
+def parse_counts(text: str) -> CountRecord:
+    """A JSON counts file if the first non-blank character is ``{``, else a
+    CSV one."""
     # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" and Notepad write it;
     # str.lstrip() keeps U+FEFF, so it would hide both the JSON brace and the
     # CSV header
@@ -169,10 +171,6 @@ def parse_counts(text: str, fmt: str = "auto") -> CountRecord:
     head = text.lstrip()
     if not head:
         raise InvalidInputError("empty input (expected a JSON or CSV counts file)")
-    if fmt == "json":
-        return parse_counts_json(text)
-    if fmt == "csv":
-        return parse_counts_csv(text)
     if head.startswith("{"):
         return parse_counts_json(text)
     return parse_counts_csv(text)

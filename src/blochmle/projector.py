@@ -73,7 +73,7 @@ class ProjectionResult(
 
 
 def cubic_solve(mu: float, a: float) -> float:
-    """Unique root in [-1, 1] of x (1 - x^2) = mu (a - x), for mu > 0.
+    """Unique root in [-1, 1] of x (1 - x^2) = mu (a - x), for finite mu > 0.
 
     Evaluated in closed form,
 
@@ -90,8 +90,8 @@ def cubic_solve(mu: float, a: float) -> float:
     """
     mu = float(mu)
     a = float(a)
-    if not mu > 0.0:
-        raise InvalidInputError(f"mu must be positive, got {mu}")
+    if not 0.0 < mu <= _FLOAT_MAX:
+        raise InvalidInputError(f"mu must be positive and finite, got {mu}")
     if not -1.0 <= a <= 1.0:
         raise InvalidInputError(f"a must lie in [-1, 1], got {a}")
     if a == 0.0:

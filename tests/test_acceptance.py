@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Each test prints its verdict before asserting, so a red run
-still reports every criterion it reached.
+still reports every criterion it reached.  The batteries from ``checks`` fix
+their own sizes; after its verdict a test pins each size by counting the
+calls the battery makes (the ``check_calls`` fixture).
 """
 
 import math
@@ -34,9 +36,10 @@ def _verdict(number, name, passed, detail):
     assert passed, f"criterion {number} failed: {detail}"
 
 
-def test_criterion_01_projection_correctness():
+def test_criterion_01_projection_correctness(check_calls):
+    projections = check_calls("project_mle")
     start = time.perf_counter()
-    battery = projection_residual_battery(n=1000, seed=101)
+    battery = projection_residual_battery(seed=101)
     elapsed = time.perf_counter() - start
     passed = (
         battery["max_norm_residual"] < 1e-10
@@ -50,6 +53,7 @@ def test_criterion_01_projection_correctness():
         f"norm {battery['max_norm_residual']:.2e}, equations "
         f"{battery['max_equation_residual']:.2e}, {elapsed:.2f}s",
     )
+    assert len(projections) == 1000
 
 
 def test_criterion_02_oracle_equivalence():
@@ -73,30 +77,44 @@ def test_criterion_03_symmetry_exactness():
     _verdict(3, "symmetric input lands on the diagonal", gap < 1e-10, f"max gap {gap:.2e}")
 
 
-def test_criterion_04_potential_divergence_equals_kl():
-    defect = canonical_kl_defect(n_pairs=1000, seed=404)
+def test_criterion_04_potential_divergence_equals_kl(check_calls):
+    divergences = check_calls("canonical_divergence")
+    defect = canonical_kl_defect(seed=404)
     _verdict(4, "potential-based divergence vs outcome KL, k in {1,2,3}",
              defect < 1e-10, f"defect {defect:.2e}")
+    assert len(divergences) == 3 * 1000
 
 
-def test_criterion_05_foliation_orthogonality():
-    defect = foliation_defect(n=100, seed=505)
+def test_criterion_05_foliation_orthogonality(check_calls):
+    points = check_calls("foliation_orthogonality_defect")
+    defect = foliation_defect(seed=505)
     _verdict(5, "weight/state slices orthogonal at 100 points", defect < 1e-8,
              f"defect {defect:.2e}")
+    assert len(points) == 100
 
 
-def test_criterion_06_fisher_metric_agreement():
-    defect = fisher_agreement_defect(n=100, seed=606)
+def test_criterion_06_fisher_metric_agreement(check_calls):
+    points = check_calls("fisher_metric")
+    defect = fisher_agreement_defect(seed=606)
     _verdict(6, "analytic vs expectation Fisher matrix at 100 points", defect < 1e-8,
              f"defect {defect:.2e}")
+    assert len(points) == 100
 
 
-def test_criterion_07_pythagorean_and_optimality():
-    additivity = pythagorean_defect(n=100, seed=707)
-    optimality = projection_optimality_defect(instances=20, sphere_samples=200, seed=707)
+def test_criterion_07_pythagorean_and_optimality(check_calls):
+    divergences = check_calls("kl_divergence")
+    projections = check_calls("project_mle")
+    additivity = pythagorean_defect(seed=707)
+    additivity_divergences = len(divergences)
+    optimality = projection_optimality_defect(seed=707)
     passed = additivity < 1e-10 and optimality < 1e-12
     _verdict(7, "divergence additivity and global optimality", passed,
              f"additivity {additivity:.2e}, optimality slack {optimality:.2e}")
+    # 3 divergences per additivity instance; per optimality instance, the
+    # estimate's and 200 sphere points'
+    assert additivity_divergences == 3 * 100
+    assert len(divergences) - additivity_divergences == 20 * (1 + 200)
+    assert len(projections) == 20
 
 
 def test_criterion_08_speed_ordering():

@@ -254,6 +254,11 @@ class TestCliEstimate:
         assert main(["estimate", "--in", str(path)]) == 2
         assert "error: not valid CSV: field larger than field limit (131072)" in capsys.readouterr().err
 
+    def test_no_format_option(self, capsys):
+        # the format is read from the file's first non-blank character
+        assert main(["estimate", "--format", "json"]) == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["estimate", "--in", str(tmp_path / "nope.json")]) == 2
 
@@ -309,7 +314,6 @@ class TestByteOrderMark:
     def test_parse_counts(self, fmt):
         for record in self.RECORDS:
             assert parse_counts(BOM + WRITERS[fmt](record)) == record
-            assert parse_counts(BOM + WRITERS[fmt](record), fmt) == record
 
     def test_estimate_file(self, fmt, tmp_path, capsys):
         for record in self.RECORDS:
@@ -469,10 +473,15 @@ class TestCliTrajectories:
 
 
 class TestCliCheck:
-    def test_infogeo_suite_passes(self, capsys):
+    def test_infogeo_suite_passes(self, capsys, check_calls):
+        divergences = check_calls("kl_divergence")
         assert main(["check", "--suite", "infogeo", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        # 2 per gibbs_defect pair, 1 per canonical_kl_defect pair for each of
+        # 3 dimensions, 1 per marginal_decomposition_defect and 3 per
+        # pythagorean_defect instance
+        assert len(divergences) == 2 * 200 + 3 * 1000 + 100 + 3 * 100
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["check", "--suite", "bogus"]) == 2

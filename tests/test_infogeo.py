@@ -128,8 +128,10 @@ class TestDualCoordinates:
         assert abs(legendre) < 1e-10
         np.testing.assert_allclose(2.0 * coords.eta - 1.0, xi, atol=1e-12)
 
-    def test_eta_is_gradient_of_psi(self):
-        assert legendre_defect(100, seed=3) < 1e-6
+    def test_eta_is_gradient_of_psi(self, check_calls):
+        points = check_calls("dual_coordinates")
+        assert legendre_defect(seed=3) < 1e-6
+        assert len(points) == 100
 
 
 class TestCanonicalDivergence:
@@ -159,7 +161,7 @@ class TestFisherMetric:
         assert g[0, 1] == 0.0 and g[1, 2] == 0.0
 
     def test_matches_score_expectation(self):
-        assert fisher_agreement_defect(100, seed=5) < 1e-8
+        assert fisher_agreement_defect(seed=5) < 1e-8
 
 
 def foliation_coordinates(s, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +215,7 @@ class TestFoliation:
         )
 
     def test_orthogonality_battery(self):
-        assert foliation_defect(100, seed=7) < 1e-8
+        assert foliation_defect(seed=7) < 1e-8
 
     @pytest.mark.parametrize(
         "s, xi",
@@ -229,11 +231,13 @@ class TestFoliation:
 
 
 class TestDivergenceIdentities:
-    def test_marginal_decomposition(self):
-        assert marginal_decomposition_defect(100, seed=11) < 1e-12
+    def test_marginal_decomposition(self, check_calls):
+        pairs = check_calls("empirical_kl")
+        assert marginal_decomposition_defect(seed=11) < 1e-12
+        assert len(pairs) == 100
 
     def test_additivity_across_foliation(self):
-        assert pythagorean_defect(100, seed=13) < 1e-10
+        assert pythagorean_defect(seed=13) < 1e-10
 
     def test_empirical_kl_boundary_safe(self):
         # empirical component at +1: the vanishing term drops out

@@ -147,6 +147,8 @@ class TestCubicSolve:
             cubic_solve(-1.0, 0.5)
         with pytest.raises(InvalidInputError):
             cubic_solve(1.0, 1.5)
+        with pytest.raises(InvalidInputError, match="finite"):
+            cubic_solve(math.inf, 0.5)
 
     @given(st.floats(1e-6, 1e6), st.floats(-1.0, 1.0))
     @settings(max_examples=300)
@@ -223,10 +225,12 @@ class TestSolveLambda:
         lam = project_mle(np.array([0.8, 0.8, 0.8]), EQUAL).lambda_star
         assert lam == pytest.approx(LAMBDA_SYMMETRIC, abs=1e-9)
 
-    def test_positive_and_unique_sign_change(self):
+    def test_positive_and_unique_sign_change(self, check_calls):
         lam = project_mle(np.array([0.9, 0.8, 0.5]), EQUAL).lambda_star
         assert lam > 0.0
-        assert lambda_monotonicity_ok(50, seed=17)
+        projections = check_calls("project_mle")
+        assert lambda_monotonicity_ok(seed=17)
+        assert len(projections) == 50
 
 
 class TestProjectMle:
@@ -253,20 +257,27 @@ class TestProjectMle:
         assert res.xi_star[0] > 0.0 and res.xi_star[1] > 0.0
         assert res.xi_star[0] ** 2 + res.xi_star[1] ** 2 == pytest.approx(1.0, abs=1e-10)
 
-    def test_residual_battery(self):
-        battery = projection_residual_battery(1000, seed=19)
+    def test_residual_battery(self, check_calls):
+        projections = check_calls("project_mle")
+        battery = projection_residual_battery(seed=19)
         assert battery["max_norm_residual"] < 1e-10
         assert battery["max_equation_residual"] < 1e-10
         assert battery["shrinkage_ok"]
+        assert len(projections) == 1000
 
-    def test_metric_orthogonality(self):
-        assert projection_orthogonality_defect(200, seed=23) < 1e-8
+    def test_metric_orthogonality(self, check_calls):
+        metrics = check_calls("fisher_metric")
+        assert projection_orthogonality_defect(seed=23) < 1e-8
+        assert len(metrics) == 200
 
     def test_global_optimality(self):
-        assert projection_optimality_defect(20, 200, seed=29) < 1e-12
+        assert projection_optimality_defect(seed=29) < 1e-12
 
-    def test_equivariance(self):
-        assert equivariance_defect(100, seed=31) < 1e-12
+    def test_equivariance(self, check_calls):
+        projections = check_calls("project_mle")
+        assert equivariance_defect(seed=31) < 1e-12
+        # the instance, its axis permutation and its sign flip
+        assert len(projections) == 3 * 100
 
     def test_sign_flip_is_exact(self):
         xi = np.array([0.9, 0.8, 0.5])

@@ -102,8 +102,10 @@ def test_origin_standard_large_n():
     assert np.all(np.abs(xi_hat) < 0.01)  # 5 sigma = 0.005 at this N
 
 
-def test_randomized_mode_weights():
+def test_randomized_mode_weights(check_calls):
+    runs = check_calls("simulate")
     assert weight_lln_defect(seed=11) < 1.0
+    assert [spec.n_shots for (spec,) in runs] == [300000]
 
 
 def test_randomized_mode_tallies_sum():
@@ -141,3 +143,16 @@ def test_sweep_script_writes_the_fitted_medians(tmp_path, monkeypatch):
     assert medians == [float(np.median(sweep["errors"][n])) for n in n_values] == sweep["median"].tolist()
     slope = np.polyfit(np.log(n_values), np.log(medians), 1)[0]
     assert slope == pytest.approx(sweep["median_slope"], abs=1e-12)
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_sweep_script_refuses_seeds_below_1(seeds, tmp_path, monkeypatch, capsys):
+    # 0 used to write an all-NaN table, -1 to end in a numpy traceback
+    out = tmp_path / "sweep.csv"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "consistency_sweep.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--seeds", seeds, "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    assert f"--seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+    assert not out.exists()
