@@ -1,5 +1,6 @@
-"""Seeded invariant batteries behind the ``check`` CLI subcommand, and the
-timing battery behind ``bench``.
+"""Seeded invariant batteries behind the ``check`` CLI subcommand, the
+timing battery behind ``bench``, and the error-versus-N sweep
+(``consistency_errors``) behind ``sweep``.
 
 Each battery returns its worst-case defect so callers can compare against
 the pinned tolerances; the suite wrappers turn them into named pass/fail
@@ -15,7 +16,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import empirical_kl, norm_squared, temporal_estimate
+from .core import InvalidInputError, empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
     _DIFFERENCE_STEP,
     _numeric_fisher_matrix,
@@ -336,6 +337,8 @@ def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, bas
     Run k at the idx-th N has seed base_seed + 100000 idx + k, modulo 2^64
     so that every valid base seed gives valid seeds.
     """
+    if seeds_per_n < 1:
+        raise InvalidInputError(f"seeds_per_n must be >= 1, got {seeds_per_n}")
     errors = {}
     for idx, n in enumerate(n_values):
         errs = np.empty(seeds_per_n)
@@ -403,7 +406,7 @@ def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
     machine-dependent; the reproducible claim is the ordering.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     weights = np.asarray(EQUAL_WEIGHTS)
     rows: list[BenchTrial] = []

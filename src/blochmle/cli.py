@@ -2,9 +2,11 @@
 
 Subcommands: ``estimate`` (counts file -> JSON report), ``simulate``
 (synthetic counts file), ``bench`` (projection vs direct-search timing),
-``trajectories`` (plot-ready projection curves), ``check`` (seeded
-invariant suites).  Exit codes: 0 success, 1 failed invariant,
-2 bad input, 3 internal numerical failure.
+``trajectories`` (plot-ready projection curves), ``sweep`` (estimation
+error versus shot count), ``check`` (seeded invariant suites).  Exit
+codes: 0 success, 1 failed invariant, 2 bad input, 3 internal numerical
+failure.  A rule on an argument that a library function already enforces
+is left to that function; its ``InvalidInputError`` exits 2.
 
 The modules that need numpy (simulator, checks) are imported inside
 the subcommands that use them, so an ``estimate`` process never loads it;
@@ -15,8 +17,6 @@ nor ``typing`` either.
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _io
 import math
 import sys
 
@@ -66,6 +66,12 @@ def _write_output(path: str, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from None
+
+
+def _write_table(path: str, header, rows) -> None:
+    # every CSV table the CLI writes; no cell needs quoting
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    _write_output(path, "\n".join(lines) + "\n")
 
 
 def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
@@ -125,15 +131,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_bench(args) -> int:
     from .checks import DISCREPANCY_TOL, run_benchmark  # noqa: PLC0415 - see the module docstring
 
-    if args.trials < 1:
-        raise InvalidInputError(f"--trials must be >= 1, got {args.trials}")
     result = run_benchmark(args.trials, args.seed)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "projection_ms", "oracle_ms", "discrepancy"])
-    for row in result.trials:
-        writer.writerow([row.index, f"{row.projection_ms:.6f}", f"{row.oracle_ms:.6f}", f"{row.discrepancy:.3e}"])
-    _write_output(args.out, buf.getvalue())
+    rows = ([r.index, f"{r.projection_ms:.6f}", f"{r.oracle_ms:.6f}", f"{r.discrepancy:.3e}"] for r in result.trials)
+    _write_table(args.out, ["trial", "projection_ms", "oracle_ms", "discrepancy"], rows)
     print(
         f"projection mean {result.projection_mean_ms:.4f} ms (median {result.projection_median_ms:.4f}), "
         f"direct search mean {result.oracle_mean_ms:.4f} ms (median {result.oracle_median_ms:.4f}), "
@@ -151,14 +151,12 @@ def _cmd_trajectories(args) -> int:
 
     if args.grid < 1:
         raise InvalidInputError(f"--grid must be >= 1, got {args.grid}")
-    if args.samples < 2:
-        raise InvalidInputError(f"--samples must be >= 2, got {args.samples}")
     weights = _parse_weights(args.s, "--s")
     u_axis, v_axis, _ = PLANES[args.plane]
 
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trajectory_id", "sample_index", "xi1", "xi2", "xi3"])
+    # projection_trajectory refuses --samples below 2 at the first start
+    # point, (-1, -1), which is always outside the ball
+    rows = []
     trajectory_id = 0
     for u in np.linspace(-1.0, 1.0, args.grid):
         for v in np.linspace(-1.0, 1.0, args.grid):
@@ -168,9 +166,21 @@ def _cmd_trajectories(args) -> int:
                 continue
             curve = projection_trajectory(start, weights, args.samples)
             for k, point in enumerate(curve):
-                writer.writerow([trajectory_id, k] + [f"{c:.12g}" for c in point])
+                rows.append([trajectory_id, k] + [f"{c:.12g}" for c in point])
             trajectory_id += 1
-    _write_output(args.out, buf.getvalue())
+    _write_table(args.out, ["trajectory_id", "sample_index", "xi1", "xi2", "xi3"], rows)
+    return EXIT_OK
+
+
+def _cmd_sweep(args) -> int:
+    from .checks import consistency_errors  # noqa: PLC0415 - see the module docstring
+
+    sweep = consistency_errors(seeds_per_n=args.seeds, base_seed=args.seed)
+    n_values = list(sweep["errors"])
+    _write_table(args.out, ["n_shots", "rmse", "median_error"], zip(n_values, sweep["rmse"], sweep["median"]))
+    for n, rmse in zip(n_values, sweep["rmse"]):
+        print(f"N = {n:>6d}   rmse {rmse:.5f}   sqrt(N)*rmse {rmse * math.sqrt(n):.3f}", file=sys.stderr)
+    print(f"rmse slope {sweep['rmse_slope']:.3f}, median slope {sweep['median_slope']:.3f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -225,6 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=32, help="points per trajectory")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_trajectories)
+
+    p = sub.add_parser("sweep", help="estimation error vs shot count (CSV)")
+    p.add_argument("--seeds", type=int, default=100, help="simulated experiments per shot count")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check", help="run seeded invariant suites")
     p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")

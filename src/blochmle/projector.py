@@ -316,7 +316,8 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
 def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int):
     """Solution curve lam -> x(lam * s_i, xihat_i), sampled from the origin
     (lam = 0) to the projected point (lam = lam*).  A numpy array of shape
-    (n_samples, 3)."""
+    (n_samples, 3).  The roots come from ``_evaluate``, the kernel of the
+    lam solve, so a lam * s_i that underflows gives the root 0."""
     import numpy as np  # noqa: PLC0415 - only trajectories need arrays
 
     xi_hat = stokes_vector(xi_hat)
@@ -327,6 +328,6 @@ def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int)
     if n_samples < 2:
         raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
     points = np.zeros((n_samples, 3))
-    for k, lam in enumerate(np.linspace(0.0, lam_star, n_samples)[1:], start=1):
-        points[k] = [cubic_solve(lam * s[i], xi_hat[i]) for i in range(3)]
+    for k, lam in enumerate(np.linspace(0.0, lam_star, n_samples)[1:].tolist(), start=1):
+        points[k] = _evaluate(lam, s, xi_hat)[4]
     return points

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import CountRecord, InvalidInputError, weight_vector
+from .core import _TEXT, CountRecord, InvalidInputError, weight_vector
 from .infogeo import _six_outcome
 
 MODES = ("standard", "randomized")
@@ -25,6 +25,20 @@ DRAW_CHUNK = 1 << 16
 
 # Grace for pure states normalized in floating point (norm^2 = 1 +/- few ulp).
 _NORM_SLACK = 1e-12
+
+
+def _integer(value, name: str) -> int:
+    """An int from an int, a numpy int or an integral float; text, fractions,
+    NaN, inf and None are refused with an ``InvalidInputError``."""
+    if not isinstance(value, _TEXT):
+        try:
+            n = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if n == value:
+                return n
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 class SimulationSpec(
@@ -51,7 +65,8 @@ class SimulationSpec(
             raise InvalidInputError(f"xi_true must lie in the unit ball, got norm^2 = {np.dot(xi, xi)}")
         if mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
-        if int(n_shots) < 1:
+        n_shots = _integer(n_shots, "n_shots")
+        if n_shots < 1:
             raise InvalidInputError(f"n_shots must be >= 1, got {n_shots}")
         if mode == "randomized":
             if weights is None:
@@ -59,9 +74,10 @@ class SimulationSpec(
             weights = weight_vector(weights)
         elif weights is not None:
             raise InvalidInputError("standard mode takes no weights (every axis gets n_shots)")
-        if not 0 <= int(seed) < 2**64:
+        seed = _integer(seed, "seed")
+        if not 0 <= seed < 2**64:
             raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        return super().__new__(cls, tuple(float(x) for x in xi), mode, int(n_shots), weights, int(seed))
+        return super().__new__(cls, tuple(float(x) for x in xi), mode, n_shots, weights, seed)
 
     @classmethod
     def _make(cls, iterable):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blochmle import io as bio
-from blochmle.checks import SUITES
+from blochmle.checks import SUITES, run_benchmark
 from blochmle.cli import SUITE_NAMES, build_parser, main
 from blochmle.core import CountRecord, InvalidInputError
 from blochmle.io import (
@@ -393,6 +393,25 @@ class TestCliSimulate:
                 piped += 1
         assert piped >= 1
 
+    def test_readme_experiments_run(self, monkeypatch, tmp_path):
+        # every ``blochmle trajectories`` and ``blochmle sweep`` line of
+        # README's Experiments block exits 0 and writes its table; the bench
+        # line's 1000-trial battery already runs as acceptance criterion 8
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Experiments", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        headers = {"trajectories": "trajectory_id,sample_index,xi1,xi2,xi3", "sweep": "n_shots,rmse,median_error"}
+        monkeypatch.chdir(tmp_path)
+        ran = set()
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] != ["blochmle"] or argv[1] == "bench":
+                continue
+            assert main(argv[1:]) == 0, line
+            table = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+            assert table.split("\n", 1)[0] == headers[argv[1]], line
+            ran.add(argv[1])
+        assert ran == {"trajectories", "sweep"}
+
     def test_ratio_weights_normalized(self, capsys):
         assert main(["simulate", "--xi", "0.1,0,0", "--mode", "randomized", "--N", "900",
                      "--s", "5,1,1", "--seed", "2"]) == 0
@@ -421,6 +440,11 @@ class TestCliBench:
 
     def test_bad_trials_exit_2(self):
         assert main(["bench", "--trials", "0"]) == 2
+
+    def test_run_benchmark_refuses_zero_trials(self):
+        # the one check behind ``bench --trials``; it was a bare ValueError
+        with pytest.raises(InvalidInputError, match="^trials must be >= 1, got 0$"):
+            run_benchmark(0)
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["bench", "--trials", "1", "--seed", "-1"]) == 2
@@ -470,6 +494,13 @@ class TestCliTrajectories:
 
     def test_bad_weights_exit_2(self):
         assert main(["trajectories", "--s", "1,0,1"]) == 2
+
+    def test_too_few_samples_exit_2(self, tmp_path, capsys):
+        # projection_trajectory refuses it at the first start point
+        out = tmp_path / "traj.csv"
+        assert main(["trajectories", "--samples", "1", "--out", str(out)]) == 2
+        assert "error: need at least 2 samples, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliCheck:

@@ -494,6 +494,13 @@ class TestTrajectory:
         curve = projection_trajectory(np.array([0.9, 0.9, 0.0]), EQUAL, 25)
         np.testing.assert_array_equal(curve[:, 2], np.zeros(25))
 
+    def test_weight_at_the_smallest_double(self):
+        # lam * s_3 underflows to 0 on the first samples, where the root is 0;
+        # this used to raise "mu must be positive and finite, got 0.0"
+        xi, s = (0.9, 0.9, 0.5), (0.5, 0.5, 5e-324)
+        curve = projection_trajectory(xi, s, 32)
+        np.testing.assert_allclose(curve[-1], project_mle(xi, s).xi_star, atol=1e-10)
+
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             projection_trajectory(np.array([0.5, 0.0, 0.0]), EQUAL, 10)
