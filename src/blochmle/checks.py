@@ -19,6 +19,7 @@ import numpy as np
 from .core import InvalidInputError, empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
     _DIFFERENCE_STEP,
+    _log_partition,
     _numeric_fisher_matrix,
     canonical_divergence,
     dual_coordinates,
@@ -143,17 +144,13 @@ def fisher_agreement_defect(seed=0) -> float:
 def legendre_defect(seed=0) -> float:
     """|eta_i - d psi / d theta_i| by central differences."""
     rng = np.random.default_rng(seed)
-
-    def psi(theta):
-        return float(np.logaddexp(0.0, theta).sum())
-
     worst = 0.0
     for _ in range(100):
         coords = dual_coordinates(interior_point(rng))
         for i in range(3):
             e = np.zeros(3)
             e[i] = _DIFFERENCE_STEP
-            grad = (psi(coords.theta + e) - psi(coords.theta - e)) / (2.0 * _DIFFERENCE_STEP)
+            grad = (_log_partition(coords.theta + e) - _log_partition(coords.theta - e)) / (2.0 * _DIFFERENCE_STEP)
             worst = max(worst, abs(grad - coords.eta[i]))
     return worst
 

@@ -25,6 +25,7 @@ from .io import (
     build_estimate_report,
     counts_to_csv,
     counts_to_json,
+    csv_text,
     parse_counts,
     report_to_json,
 )
@@ -66,12 +67,6 @@ def _write_output(path: str, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from None
-
-
-def _write_table(path: str, header, rows) -> None:
-    # every CSV table the CLI writes; no cell needs quoting
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    _write_output(path, "\n".join(lines) + "\n")
 
 
 def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
@@ -133,7 +128,7 @@ def _cmd_bench(args) -> int:
 
     result = run_benchmark(args.trials, args.seed)
     rows = ([r.index, f"{r.projection_ms:.6f}", f"{r.oracle_ms:.6f}", f"{r.discrepancy:.3e}"] for r in result.trials)
-    _write_table(args.out, ["trial", "projection_ms", "oracle_ms", "discrepancy"], rows)
+    _write_output(args.out, csv_text(["trial", "projection_ms", "oracle_ms", "discrepancy"], rows))
     print(
         f"projection mean {result.projection_mean_ms:.4f} ms (median {result.projection_median_ms:.4f}), "
         f"direct search mean {result.oracle_mean_ms:.4f} ms (median {result.oracle_median_ms:.4f}), "
@@ -168,7 +163,7 @@ def _cmd_trajectories(args) -> int:
             for k, point in enumerate(curve):
                 rows.append([trajectory_id, k] + [f"{c:.12g}" for c in point])
             trajectory_id += 1
-    _write_table(args.out, ["trajectory_id", "sample_index", "xi1", "xi2", "xi3"], rows)
+    _write_output(args.out, csv_text(["trajectory_id", "sample_index", "xi1", "xi2", "xi3"], rows))
     return EXIT_OK
 
 
@@ -177,7 +172,8 @@ def _cmd_sweep(args) -> int:
 
     sweep = consistency_errors(seeds_per_n=args.seeds, base_seed=args.seed)
     n_values = list(sweep["errors"])
-    _write_table(args.out, ["n_shots", "rmse", "median_error"], zip(n_values, sweep["rmse"], sweep["median"]))
+    table = csv_text(["n_shots", "rmse", "median_error"], zip(n_values, sweep["rmse"], sweep["median"]))
+    _write_output(args.out, table)
     for n, rmse in zip(n_values, sweep["rmse"]):
         print(f"N = {n:>6d}   rmse {rmse:.5f}   sqrt(N)*rmse {rmse * math.sqrt(n):.3f}", file=sys.stderr)
     print(f"rmse slope {sweep['rmse_slope']:.3f}, median slope {sweep['median_slope']:.3f}", file=sys.stderr)

@@ -102,7 +102,8 @@ def _three_floats(values, what: str) -> tuple[float, float, float]:
     ``InvalidInputError`` naming ``what``."""
     try:
         a, b, c = values
-        numbers = not (isinstance(a, _TEXT) or isinstance(b, _TEXT) or isinstance(c, _TEXT))
+        # bytes unpack into ints, so the sequence itself is checked too
+        numbers = not (isinstance(values, _TEXT) or isinstance(a, _TEXT) or isinstance(b, _TEXT) or isinstance(c, _TEXT))
         if numbers:
             a, b, c = float(a), float(b), float(c)
     except (TypeError, ValueError):
@@ -111,7 +112,7 @@ def _three_floats(values, what: str) -> tuple[float, float, float]:
         raise InvalidInputError(f"{what} has non-finite components") from None
     if not numbers:
         shape = _shape(values)
-        if shape != (3,):
+        if shape != (3,) and not isinstance(values, _TEXT):
             raise InvalidInputError(f"{what} needs 3 components, got shape {shape}")
         raise InvalidInputError(f"{what} needs 3 real numbers, got {values!r}")
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):

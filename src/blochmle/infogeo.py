@@ -24,7 +24,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import InvalidInputError, StokesVector, WeightVector, weight_vector
+from .core import _TEXT, InvalidInputError, StokesVector, WeightVector, weight_vector
 
 PROB_SUM_TOL = 1e-12
 
@@ -33,10 +33,22 @@ PROB_SUM_TOL = 1e-12
 _DIFFERENCE_STEP = 1e-6
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array.  Text is not a number, as in core's 3-vector
+    rule: like None, words and ragged nesting it raises ``InvalidInputError``."""
+    try:
+        vec = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # a word or an object among the entries, ragged nesting
+        vec = None
+    if vec is None or isinstance(values, _TEXT) or (vec.ndim == 1 and any(isinstance(v, _TEXT) for v in values)):
+        raise InvalidInputError(f"{what} needs real numbers, got {values!r}")
+    return vec
+
+
 def finite_distribution(probs) -> np.ndarray:
     """Validate a probability vector on the open simplex: a 1-d float array,
     strictly positive entries summing to 1."""
-    p = np.asarray(probs, dtype=float)
+    p = _real_array(probs, "probability vector")
     if p.ndim != 1 or p.size < 2:
         raise InvalidInputError(f"expected a 1-d probability vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
@@ -48,10 +60,11 @@ def finite_distribution(probs) -> np.ndarray:
     return p
 
 
-def _interior(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1 or not 1 <= xi.size <= 3:
-        raise InvalidInputError(f"expected a k-vector with k in {{1,2,3}}, got shape {xi.shape}")
+def _interior(xi, sizes=(1, 2, 3)) -> np.ndarray:
+    """``xi`` as a float vector of a length in ``sizes``, inside (-1, 1)^k."""
+    xi = _real_array(xi, "state vector")
+    if xi.ndim != 1 or xi.size not in sizes:
+        raise InvalidInputError(f"expected a {'/'.join(map(str, sizes))}-vector, got shape {xi.shape}")
     if not np.all(np.isfinite(xi)):
         raise InvalidInputError("non-finite component")
     if np.any(np.abs(xi) >= 1.0):
@@ -80,11 +93,7 @@ def product_distribution(xi) -> np.ndarray:
 def randomized_distribution(s: WeightVector, xi: StokesVector) -> np.ndarray:
     """6-outcome distribution of a randomized measurement: pick axis i with
     probability s_i, then observe +/-1 with probability (1 +/- xi_i)/2."""
-    s = np.asarray(weight_vector(s))
-    xi = _interior(xi)
-    if xi.size != 3:
-        raise InvalidInputError("randomized measurement needs all 3 axes")
-    return _six_outcome(s, xi)
+    return _six_outcome(np.asarray(weight_vector(s)), _interior(xi, sizes=(3,)))
 
 
 def _six_outcome(s: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -104,12 +113,17 @@ class DualCoordinates(namedtuple("DualCoordinates", ["theta", "eta", "psi", "phi
     __slots__ = ()
 
 
+def _log_partition(theta) -> float:
+    """psi(theta) = sum_i log(1 + e^theta_i), computed without overflow."""
+    return float(np.logaddexp(0.0, theta).sum())
+
+
 def dual_coordinates(xi) -> DualCoordinates:
     """Dual affine coordinates and potentials of the product distribution."""
     xi = _interior(xi)
     theta = np.log((1.0 + xi) / (1.0 - xi))
     eta = (1.0 + xi) / 2.0
-    psi = float(np.logaddexp(0.0, theta).sum())
+    psi = _log_partition(theta)
     phi = float(np.dot(theta, eta)) - psi
     return DualCoordinates(theta=theta, eta=eta, psi=psi, phi=phi)
 
@@ -133,10 +147,8 @@ def fisher_metric(xi: StokesVector, s: WeightVector) -> np.ndarray:
     """Fisher information matrix of the randomized model in Stokes
     coordinates: diag(s_i / (1 - xi_i^2)).  Scale is fixed to a single
     observation; the projection this metric drives is scale-invariant."""
-    xi = _interior(xi)
+    xi = _interior(xi, sizes=(3,))
     s = np.asarray(weight_vector(s))
-    if xi.size != 3:
-        raise InvalidInputError("Fisher metric is defined on the full 3-axis model")
     return np.diag(s / (1.0 - xi**2))
 
 
@@ -174,8 +186,4 @@ def foliation_orthogonality_defect(s: WeightVector, xi: StokesVector) -> float:
 
     Derivatives are central differences (see ``_numeric_fisher_matrix``).
     """
-    s = weight_vector(s)
-    xi = _interior(xi)
-    if xi.size != 3:
-        raise InvalidInputError("orthogonality defect needs all 3 axes")
-    return float(np.abs(_numeric_fisher_matrix(s, xi)[:3, 3:]).max())
+    return float(np.abs(_numeric_fisher_matrix(weight_vector(s), _interior(xi, sizes=(3,)))[:3, 3:]).max())

@@ -6,10 +6,10 @@ exactly three rows.  Floats in reports are serialized in Python's shortest
 round-trip decimal form (up to 17 significant digits), so parsing a report
 back recovers bit-identical doubles.
 
-Reports and counts files are written by ``_json_text``, whose output matches
-``json.dumps`` with a two-space indent byte for byte.  It exists because
-``json`` has no C path once ``indent`` is set: its pure-Python indenting
-encoder cost more per record than the estimate itself.
+Reports and JSON counts files are written by ``_json_text``, whose output
+matches ``json.dumps`` with a two-space indent byte for byte: ``json`` has no
+C path once ``indent`` is set, and its pure-Python indenting encoder cost
+more per record than the estimate itself.  ``csv_text`` writes every CSV.
 
 The direct-search oracle (and with it numpy) loads only when
 ``build_estimate_report(with_oracle=True)`` or the module attribute
@@ -186,13 +186,15 @@ def counts_to_json(counts: CountRecord) -> str:
     return _json_text(doc, "") + "\n"
 
 
+def csv_text(header, rows) -> str:
+    """The header, then a line of ``str``-ed cells per row, all ending in
+    ``\\n``.  Nothing is quoted: no cell the package writes needs it."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def counts_to_csv(counts: CountRecord) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COUNTS_CSV_HEADER)
-    for i in range(3):
-        writer.writerow([i + 1, counts.n_plus[i], counts.n_minus[i]])
-    return buf.getvalue()
+    return csv_text(COUNTS_CSV_HEADER, ([i + 1, counts.n_plus[i], counts.n_minus[i]] for i in range(3)))
 
 
 def build_estimate_report(counts: CountRecord, with_oracle: bool = False) -> dict:

@@ -2,9 +2,11 @@
 
 All randomness is drawn as 53-bit uniforms from numpy's counter-based
 Philox bit generator and mapped through the inverse CDF of the outcome
-distribution in its canonical order, so a given spec reproduces identical
-counts on any platform.  Standard mode uses one substream per axis, spawned
-deterministically from the seed; randomized mode uses a single stream.
+distribution in its canonical order: outcome k takes the uniforms u with
+cdf[k-1] <= u < cdf[k], in both modes (``_tally``), so a given spec
+reproduces identical counts on any platform.  Standard mode tallies
+(+1, -1) on one substream per axis, spawned deterministically from the
+seed; randomized mode tallies the six outcomes on a single stream.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import _TEXT, CountRecord, InvalidInputError, weight_vector
+from .core import _TEXT, CountRecord, InvalidInputError, _three_floats, norm_squared, weight_vector
 from .infogeo import _six_outcome
 
 MODES = ("standard", "randomized")
@@ -50,7 +52,8 @@ class SimulationSpec(
     ``MODES``, ``weights`` a weight vector (randomized mode) or None, and
     ``n_shots`` and ``seed`` are ints.  ``n_shots`` counts measurements per
     axis in standard mode and in total in randomized mode, where one of the
-    three axes is picked each shot with the given weights.
+    three axes is picked each shot with the given weights.  ``xi_true``
+    passes core's 3-vector rule (no text), with norm^2 <= 1 + 1e-12.
     """
 
     __slots__ = ()
@@ -58,11 +61,9 @@ class SimulationSpec(
     def __new__(cls, *args, **kwargs):
         # the generated __new__ binds the arguments and fills in the defaults
         xi_true, mode, n_shots, weights, seed = super().__new__(cls, *args, **kwargs)
-        xi = np.asarray(xi_true, dtype=float)
-        if xi.shape != (3,) or not np.all(np.isfinite(xi)):
-            raise InvalidInputError(f"xi_true must be a finite 3-vector, got {xi_true!r}")
-        if float(np.dot(xi, xi)) > 1.0 + _NORM_SLACK:
-            raise InvalidInputError(f"xi_true must lie in the unit ball, got norm^2 = {np.dot(xi, xi)}")
+        xi = _three_floats(xi_true, "xi_true")
+        if norm_squared(xi) > 1.0 + _NORM_SLACK:
+            raise InvalidInputError(f"xi_true must lie in the unit ball, got norm^2 = {norm_squared(xi)}")
         if mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
         n_shots = _integer(n_shots, "n_shots")
@@ -77,7 +78,7 @@ class SimulationSpec(
         seed = _integer(seed, "seed")
         if not 0 <= seed < 2**64:
             raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        return super().__new__(cls, tuple(float(x) for x in xi), mode, n_shots, weights, seed)
+        return super().__new__(cls, xi, mode, n_shots, weights, seed)
 
     @classmethod
     def _make(cls, iterable):
@@ -85,13 +86,17 @@ class SimulationSpec(
         return cls(*iterable)
 
 
-def _axis_streams(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.Generator(np.random.Philox(child)) for child in np.random.SeedSequence(seed).spawn(n)]
-
-
-def _uniform_chunks(rng: np.random.Generator, n: int):
+def _tally(rng: np.random.Generator, cdf, n: int) -> list[int]:
+    """Outcome counts of ``n`` uniforms from ``rng``: outcome k takes the u
+    with cdf[k-1] <= u < cdf[k].  The last entry stands for 1 whatever its
+    value, so the counts sum to ``n``; the others must not decrease."""
+    below = [0] * len(cdf)  # below[k]: the uniforms under cdf[k]
+    below[-1] = n
     for start in range(0, n, DRAW_CHUNK):
-        yield rng.random(min(DRAW_CHUNK, n - start))
+        u = rng.random(min(DRAW_CHUNK, n - start))
+        for k in range(len(cdf) - 1):
+            below[k] += int(np.count_nonzero(u < cdf[k]))
+    return [below[0]] + [hi - lo for lo, hi in zip(below, below[1:])]
 
 
 def simulate(spec: SimulationSpec) -> CountRecord:
@@ -101,22 +106,12 @@ def simulate(spec: SimulationSpec) -> CountRecord:
     randomized mode with very small ``n_shots``), since such a record has
     no defined empirical estimate.
     """
-    xi = np.asarray(spec.xi_true, dtype=float)
+    root = np.random.SeedSequence(spec.seed)
     if spec.mode == "standard":
-        n_plus = []
-        for axis, rng in enumerate(_axis_streams(spec.seed, 3)):
-            p_up = min(max((1.0 + xi[axis]) / 2.0, 0.0), 1.0)
-            chunks = _uniform_chunks(rng, spec.n_shots)
-            n_plus.append(sum(int(np.count_nonzero(u < p_up)) for u in chunks))
-        n_minus = [spec.n_shots - p for p in n_plus]
-        return CountRecord(tuple(n_plus), tuple(n_minus))
-
-    probs = np.clip(_six_outcome(np.asarray(spec.weights, dtype=float), xi), 0.0, None)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
-    tallies = sum(
-        np.bincount(np.searchsorted(cdf, u, side="right"), minlength=6)
-        for u in _uniform_chunks(rng, spec.n_shots)
-    )
-    return CountRecord(tuple(int(t) for t in tallies[0::2]), tuple(int(t) for t in tallies[1::2]))
+        tallies = []
+        for x, child in zip(spec.xi_true, root.spawn(3)):
+            tallies += _tally(np.random.Generator(np.random.Philox(child)), ((1.0 + x) / 2.0, 1.0), spec.n_shots)
+    else:
+        probs = np.clip(_six_outcome(np.asarray(spec.weights), np.asarray(spec.xi_true)), 0.0, None)
+        tallies = _tally(np.random.Generator(np.random.Philox(root)), np.cumsum(probs), spec.n_shots)
+    return CountRecord(tallies[0::2], tallies[1::2])

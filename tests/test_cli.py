@@ -32,6 +32,12 @@ class TestCountsFormats:
     def test_csv_roundtrip(self):
         assert parse_counts_csv(counts_to_csv(RECORD)) == RECORD
 
+    def test_csv_bytes(self):
+        # header, three rows in axis order, "\n" line ends, no quoting
+        assert counts_to_csv(RECORD) == "axis,n_plus,n_minus\n1,80,20\n2,50,50\n3,65,35\n"
+        big = CountRecord((2**70, 0, 1), (3, 10**20, 0))
+        assert counts_to_csv(big) == f"axis,n_plus,n_minus\n1,{2**70},3\n2,0,{10**20}\n3,1,0\n"
+
     def test_auto_detection(self):
         assert parse_counts(counts_to_json(RECORD)) == RECORD
         assert parse_counts(counts_to_csv(RECORD)) == RECORD

@@ -123,6 +123,7 @@ MALFORMED = [
     [[0.1, 0.2, 0.3]],
     np.full((1, 3), 0.1),
     "abc",
+    b"\x00\x01\x00",  # three small ints once unpacked: (0.0, 1.0, 0.0) was accepted
     ["0.1", "0.2", "0.3"],
     None,
     [None, 0.2, 0.3],
@@ -151,6 +152,7 @@ def test_malformed_vectors_refused(constructor, value):
         ([0.1, 0.0], r"needs 3 components, got shape \(2,\)"),
         ([[0.1, 0.2, 0.3]], r"needs 3 components, got shape \(1, 3\)"),
         ([0.1, math.nan, 0.0], "non-finite"),
+        ("abc", r"needs 3 real numbers, got 'abc'"),  # was "needs 3 components, got shape ()"
     ],
 )
 def test_stokes_vector_refusals(value, message):

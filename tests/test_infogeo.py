@@ -66,6 +66,57 @@ class TestKlDivergence:
         assert kl_divergence(p, p) == 0.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: product_distribution(("0.5",)),
+        lambda: kl_divergence(("0.5", "0.5"), (0.5, 0.5)),
+        lambda: kl_divergence((0.5, 0.5), np.array(["0.5", "0.5"])),
+        lambda: finite_distribution([b"0.5", 0.5]),
+        lambda: dual_coordinates([0.1, "x"]),
+        lambda: dual_coordinates("0.5"),
+        lambda: dual_coordinates([0.1, [0.2, 0.3]]),
+        lambda: finite_distribution([0.5, [0.25, 0.25]]),
+        lambda: randomized_distribution((0.5, 0.25, 0.25), ("0.1", "0", "0")),
+        lambda: fisher_metric([0.1, "x", 0.0], (0.5, 0.25, 0.25)),
+        lambda: foliation_orthogonality_defect((0.5, 0.25, 0.25), [0.1, [0.0], 0.0]),
+    ],
+    ids=[
+        "product_text",
+        "kl_text",
+        "kl_text_array",
+        "distribution_bytes",
+        "dual_word",
+        "dual_bare_text",
+        "dual_ragged",
+        "distribution_ragged",
+        "randomized_text",
+        "fisher_word",
+        "foliation_ragged",
+    ],
+)
+def test_text_and_ragged_input_refused(call):
+    # text is not a number, as in core's 3-vector rule; the first two were
+    # accepted, and words and ragged lists escaped as a bare ValueError
+    with pytest.raises(InvalidInputError, match="needs real numbers, got "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: randomized_distribution((0.5, 0.25, 0.25), (0.1, 0.2)),
+        lambda: fisher_metric((0.1,), (0.5, 0.25, 0.25)),
+        lambda: foliation_orthogonality_defect((0.5, 0.25, 0.25), (0.1, 0.2, 0.3, 0.0)),
+        lambda: dual_coordinates((0.1, 0.2, 0.3, 0.0)),
+    ],
+    ids=["randomized", "fisher", "foliation", "dual"],
+)
+def test_wrong_length_refused(call):
+    with pytest.raises(InvalidInputError, match="-vector, got shape "):
+        call()
+
+
 class TestProductDistribution:
     def test_single_axis(self):
         np.testing.assert_allclose(product_distribution([0.5]), [0.75, 0.25])
