@@ -102,8 +102,14 @@ def _three_floats(values, what: str) -> tuple[float, float, float]:
     ``InvalidInputError`` naming ``what``."""
     try:
         a, b, c = values
-        # bytes unpack into ints, so the sequence itself is checked too
-        numbers = not (isinstance(values, _TEXT) or isinstance(a, _TEXT) or isinstance(b, _TEXT) or isinstance(c, _TEXT))
+        # bytes unpack into ints, so the sequence itself is checked too; a
+        # (3, 1) array unpacks into 1-element arrays, which float() takes on
+        # numpy before 2.0, so shapes are checked as well
+        numbers = not (
+            isinstance(values, _TEXT) or isinstance(a, _TEXT) or isinstance(b, _TEXT) or isinstance(c, _TEXT)
+            or getattr(values, "shape", (3,)) != (3,)
+            or getattr(a, "ndim", 0) or getattr(b, "ndim", 0) or getattr(c, "ndim", 0)
+        )
         if numbers:
             a, b, c = float(a), float(b), float(c)
     except (TypeError, ValueError):

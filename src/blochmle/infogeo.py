@@ -24,7 +24,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import _TEXT, InvalidInputError, StokesVector, WeightVector, weight_vector
+from .core import InvalidInputError, StokesVector, WeightVector, weight_vector
 
 PROB_SUM_TOL = 1e-12
 
@@ -34,15 +34,16 @@ _DIFFERENCE_STEP = 1e-6
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array.  Text is not a number, as in core's 3-vector
-    rule: like None, words and ragged nesting it raises ``InvalidInputError``."""
+    """``values`` as a float array, or ``InvalidInputError`` unless numpy reads
+    them as bools, ints or floats: text, None, other objects (Fraction and
+    Decimal too) and ragged nesting are refused."""
     try:
-        vec = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):  # a word or an object among the entries, ragged nesting
+        vec = np.asarray(values)
+    except ValueError:  # ragged nesting
         vec = None
-    if vec is None or isinstance(values, _TEXT) or (vec.ndim == 1 and any(isinstance(v, _TEXT) for v in values)):
+    if vec is None or vec.dtype.kind not in "biuf":
         raise InvalidInputError(f"{what} needs real numbers, got {values!r}")
-    return vec
+    return vec.astype(float)
 
 
 def finite_distribution(probs) -> np.ndarray:

@@ -122,6 +122,8 @@ MALFORMED = [
     np.array([0.1, 0.2]),
     [[0.1, 0.2, 0.3]],
     np.full((1, 3), 0.1),
+    np.full((3, 1), 0.1),  # unpacks into 1-element arrays, which float() takes on numpy < 2
+    [np.array([0.1]), np.array([0.2]), np.array([0.3])],
     "abc",
     b"\x00\x01\x00",  # three small ints once unpacked: (0.0, 1.0, 0.0) was accepted
     ["0.1", "0.2", "0.3"],

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,9 @@ class TestKlDivergence:
         lambda: randomized_distribution((0.5, 0.25, 0.25), ("0.1", "0", "0")),
         lambda: fisher_metric([0.1, "x", 0.0], (0.5, 0.25, 0.25)),
         lambda: foliation_orthogonality_defect((0.5, 0.25, 0.25), [0.1, [0.0], 0.0]),
+        lambda: dual_coordinates(None),
+        lambda: dual_coordinates([0.1j]),
+        lambda: finite_distribution([Fraction(1, 2), Fraction(1, 2)]),
     ],
     ids=[
         "product_text",
@@ -93,11 +98,15 @@ class TestKlDivergence:
         "randomized_text",
         "fisher_word",
         "foliation_ragged",
+        "dual_none",
+        "dual_complex",
+        "distribution_fraction",
     ],
 )
 def test_text_and_ragged_input_refused(call):
-    # text is not a number, as in core's 3-vector rule; the first two were
-    # accepted, and words and ragged lists escaped as a bare ValueError
+    # only arrays numpy reads as bools, ints or floats are numbers here; the
+    # first two were accepted, and words and ragged lists escaped as a bare
+    # ValueError
     with pytest.raises(InvalidInputError, match="needs real numbers, got "):
         call()
 

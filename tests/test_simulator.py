@@ -34,6 +34,8 @@ def test_spec_validation():
         [0.1, "x", 0.0],
         [0.1, [0.0, 0.0], 0.0],
         [[0.1], [0.0], [0.0]],
+        np.full((3, 1), 0.1),
+        [np.array([0.1]), np.array([0.0]), np.array([0.0])],
         (0.1, 0.0),
         None,
     ],
