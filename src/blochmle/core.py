@@ -97,19 +97,18 @@ def _shape(values) -> tuple:
     return (len(values),) + (_shape(values[0]) if len(values) else ())
 
 
+def _number(value) -> bool:
+    """Not text, nor an array, which float() reads if it has one element (numpy < 2)."""
+    return type(value) is float or not (isinstance(value, _TEXT) or getattr(value, "ndim", 0))
+
+
 def _three_floats(values, what: str) -> tuple[float, float, float]:
-    """Three finite Python floats from a 3-sequence of real numbers, or an
-    ``InvalidInputError`` naming ``what``."""
+    """Three finite Python floats from a 3-sequence of real numbers, else ``InvalidInputError``."""
     try:
         a, b, c = values
-        # bytes unpack into ints, so the sequence itself is checked too; a
-        # (3, 1) array unpacks into 1-element arrays, which float() takes on
-        # numpy before 2.0, so shapes are checked as well
-        numbers = not (
-            isinstance(values, _TEXT) or isinstance(a, _TEXT) or isinstance(b, _TEXT) or isinstance(c, _TEXT)
-            or getattr(values, "shape", (3,)) != (3,)
-            or getattr(a, "ndim", 0) or getattr(b, "ndim", 0) or getattr(c, "ndim", 0)
-        )
+        # bytes unpack into ints, and a (3, 1) array into 1-element arrays
+        numbers = (not isinstance(values, _TEXT) and getattr(values, "shape", (3,)) == (3,)
+                   and _number(a) and _number(b) and _number(c))
         if numbers:
             a, b, c = float(a), float(b), float(c)
     except (TypeError, ValueError):

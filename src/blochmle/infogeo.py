@@ -34,16 +34,15 @@ _DIFFERENCE_STEP = 1e-6
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array, or ``InvalidInputError`` unless numpy reads
-    them as bools, ints or floats: text, None, other objects (Fraction and
-    Decimal too) and ragged nesting are refused."""
+    """``values`` as a float array if numpy reads them as bools, ints or floats;
+    text, None, other objects (Fraction too) and ragged nesting are refused."""
     try:
         vec = np.asarray(values)
+        if vec.dtype.kind in "biuf":
+            return vec.astype(float)
     except ValueError:  # ragged nesting
-        vec = None
-    if vec is None or vec.dtype.kind not in "biuf":
-        raise InvalidInputError(f"{what} needs real numbers, got {values!r}")
-    return vec.astype(float)
+        pass
+    raise InvalidInputError(f"{what} needs real numbers, got {values!r}")
 
 
 def finite_distribution(probs) -> np.ndarray:

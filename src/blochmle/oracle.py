@@ -58,13 +58,6 @@ _MAX_STEPS = 100
 _STEP_TOL = 1e-15
 
 
-def _sphere_points(polar, azimuth):
-    sin_p = np.sin(polar)
-    return np.stack(
-        [sin_p * np.cos(azimuth), sin_p * np.sin(azimuth), np.cos(polar)], axis=-1
-    )
-
-
 def empirical_kl(xi_hat, s, xi):
     """``core.empirical_kl`` over an array of model points: the weighted
     per-axis binary KL from the empirical estimate to each point, the
@@ -88,7 +81,9 @@ def _grid_minimum(xi_hat, s):
     go to the lowest grid index (np.argmin)."""
     polar = (np.arange(_GRID) + 0.5) * (np.pi / _GRID)
     azimuth = np.arange(_GRID) * (2.0 * np.pi / _GRID)
-    points = _sphere_points(*np.meshgrid(polar, azimuth, indexing="ij"))
+    polar, azimuth = np.meshgrid(polar, azimuth, indexing="ij")
+    sin_p = np.sin(polar)
+    points = np.stack([sin_p * np.cos(azimuth), sin_p * np.sin(azimuth), np.cos(polar)], axis=-1)
     values = empirical_kl(xi_hat, s, points)
     i, j = divmod(int(np.argmin(values)), _GRID)
     return points[i, j].copy(), float(values[i, j])
