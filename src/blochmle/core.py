@@ -103,26 +103,36 @@ def _number(value) -> bool:
 
 
 def _three_floats(values, what: str) -> tuple[float, float, float]:
-    """Three finite Python floats from a 3-sequence of real numbers, else ``InvalidInputError``."""
-    try:
+    """Three finite Python floats from a 3-sequence of real numbers, else ``InvalidInputError``.
+
+    A plain tuple of three plain floats, which is what ``temporal_estimate``
+    and this function return, needs only the finiteness test and comes back
+    as it is.  Any other input (float subclasses such as ``np.float64``,
+    ints, bools, namedtuples, lists, arrays) is converted item by item."""
+    if (type(values) is tuple and len(values) == 3
+            and type(values[0]) is float and type(values[1]) is float and type(values[2]) is float):
         a, b, c = values
-        # bytes unpack into ints, and a (3, 1) array into 1-element arrays
-        numbers = (not isinstance(values, _TEXT) and getattr(values, "shape", (3,)) == (3,)
-                   and _number(a) and _number(b) and _number(c))
-        if numbers:
-            a, b, c = float(a), float(b), float(c)
-    except (TypeError, ValueError):
-        numbers = False
-    except OverflowError:  # an int beyond the float range
-        raise InvalidInputError(f"{what} has non-finite components") from None
-    if not numbers:
-        shape = _shape(values)
-        if shape != (3,) and not isinstance(values, _TEXT):
-            raise InvalidInputError(f"{what} needs 3 components, got shape {shape}")
-        raise InvalidInputError(f"{what} needs 3 real numbers, got {values!r}")
+    else:
+        try:
+            a, b, c = values
+            # bytes unpack into ints, and a (3, 1) array into 1-element arrays
+            numbers = (not isinstance(values, _TEXT) and getattr(values, "shape", (3,)) == (3,)
+                       and _number(a) and _number(b) and _number(c))
+            if numbers:
+                a, b, c = float(a), float(b), float(c)
+        except (TypeError, ValueError):
+            numbers = False
+        except OverflowError:  # an int beyond the float range
+            raise InvalidInputError(f"{what} has non-finite components") from None
+        if not numbers:
+            shape = _shape(values)
+            if shape != (3,) and not isinstance(values, _TEXT):
+                raise InvalidInputError(f"{what} needs 3 components, got shape {shape}")
+            raise InvalidInputError(f"{what} needs 3 real numbers, got {values!r}")
+        values = a, b, c
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise InvalidInputError(f"{what} has non-finite components")
-    return a, b, c
+    return values
 
 
 def stokes_vector(components) -> StokesVector:

@@ -9,7 +9,14 @@ back recovers bit-identical doubles.
 Reports and JSON counts files are written by ``_json_text``, whose output
 matches ``json.dumps`` with a two-space indent byte for byte: ``json`` has no
 C path once ``indent`` is set, and its pure-Python indenting encoder cost
-more per record than the estimate itself.  ``csv_text`` writes every CSV.
+more per record than the estimate itself.  A list of finite floats, such as
+a report's 3-vectors, is written with one join.  ``csv_text`` writes every
+CSV.
+
+A report's ``kl_empirical_to_mle`` is exactly 0.0 when the estimate was
+not projected, and ``empirical_kl`` is then not called: the MLE is the
+empirical estimate itself, and every term of that KL is a log minus the
+same log.
 
 The direct-search oracle (and with it numpy) loads only when
 ``build_estimate_report(with_oracle=True)`` or the module attribute
@@ -77,14 +84,22 @@ def _json_text(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = []
-        for item in value:
-            if isinstance(item, float):
-                text = float.__repr__(item)
-                items.append(_NON_FINITE.get(text, text))
-            else:
-                items.append(_json_text(item, inner))
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+        # all floats, all finite: one join; float.__repr__ refuses bools,
+        # ints and np.float32, and only nan and inf put an "n" in the text
+        try:
+            text = f",\n{inner}".join(map(float.__repr__, value))
+        except TypeError:
+            text = "n"
+        if "n" in text:
+            items = []
+            for item in value:
+                if isinstance(item, float):
+                    text = float.__repr__(item)
+                    items.append(_NON_FINITE.get(text, text))
+                else:
+                    items.append(_json_text(item, inner))
+            text = f",\n{inner}".join(items)
+        return f"[\n{inner}{text}\n{pad}]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -207,7 +222,9 @@ def build_estimate_report(counts: CountRecord, with_oracle: bool = False) -> dic
         "xi_hat_norm": math.sqrt(norm_squared(xi_hat)),
         "was_projected": result.was_projected,
         "xi_star": list(result.xi_star),
-        "kl_empirical_to_mle": empirical_kl(xi_hat, s_hat, result.xi_star),
+        # inside the ball xi_star is xi_hat, and each of empirical_kl's terms
+        # would be log p - log p of one float: the sum is exactly +0.0
+        "kl_empirical_to_mle": empirical_kl(xi_hat, s_hat, result.xi_star) if result.was_projected else 0.0,
         "residual_evaluations": result.residual_evaluations,
     }
     if result.was_projected:

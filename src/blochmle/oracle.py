@@ -43,6 +43,7 @@ the speed ordering is measured against.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -76,14 +77,23 @@ def empirical_kl(xi_hat, s, xi):
     return float(out) if out.ndim == 0 else out
 
 
-def _grid_minimum(xi_hat, s):
-    """The best point of the global angle scan and its objective value; ties
-    go to the lowest grid index (np.argmin)."""
+@functools.cache
+def _grid_points():
+    """The scan's _GRID x _GRID x 3 sphere points, built on first use and
+    shared, read-only, by every later scan."""
     polar = (np.arange(_GRID) + 0.5) * (np.pi / _GRID)
     azimuth = np.arange(_GRID) * (2.0 * np.pi / _GRID)
     polar, azimuth = np.meshgrid(polar, azimuth, indexing="ij")
     sin_p = np.sin(polar)
     points = np.stack([sin_p * np.cos(azimuth), sin_p * np.sin(azimuth), np.cos(polar)], axis=-1)
+    points.setflags(write=False)
+    return points
+
+
+def _grid_minimum(xi_hat, s):
+    """The best point of the global angle scan and its objective value; ties
+    go to the lowest grid index (np.argmin)."""
+    points = _grid_points()
     values = empirical_kl(xi_hat, s, points)
     i, j = divmod(int(np.argmin(values)), _GRID)
     return points[i, j].copy(), float(values[i, j])
