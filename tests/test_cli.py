@@ -162,6 +162,13 @@ class TestJsonWriter:
             "tuple": (1.5, (2, [])),
             "nested": {"inner": {"x": [1, {"deep": None}]}, "after": 3},
             "quote\"and\u00e9": 1,
+            # float.__repr__ takes np.float64, a float subclass, and refuses
+            # bools and ints; nan and inf leave the one-join path
+            "float64_tuple": (np.float64(0.1), np.float64(-2.5e-300), np.float64(1e16)),
+            "bool_int_float": [True, 1, 0.5],
+            "finite_then_nan": [0.1, math.nan],
+            "infinities": [math.inf, -math.inf],
+            "negative_zero": [-0.0],
         }
         assert report_to_json(doc) == as_json_dumps(doc)
         for value in ([], {}, 1.0, None, [[]], [{}]):
@@ -189,6 +196,32 @@ class TestEstimateReport:
         assert report["xi_star"] == report["xi_hat"]
         assert "lambda_star" not in report
         assert report["kl_empirical_to_mle"] == 0.0
+
+    def test_kl_summed_only_for_projected_records(self, monkeypatch):
+        # inside the ball the report writes the KL's exact value, +0.0,
+        # without the sum; a projected record sums it once
+        original = bio.empirical_kl
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bio, "empirical_kl", counted)
+        projected = interior = 0
+        for record in seeded_records(11, 200):
+            before = len(calls)
+            report = build_estimate_report(record)
+            kl = report["kl_empirical_to_mle"]
+            if report["was_projected"]:
+                assert len(calls) == before + 1
+                projected += 1
+            else:
+                assert len(calls) == before
+                assert kl == 0.0 and math.copysign(1.0, kl) == 1.0
+                assert repr(original(report["xi_hat"], report["s_hat"], report["xi_star"])) == repr(kl)
+                interior += 1
+        assert projected > 50 and interior > 50
 
     def test_solver_fields(self):
         # (1,10,9)/(25,16,17) lies on the sphere but rounds just outside, so

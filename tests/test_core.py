@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from blochmle.checks import exterior_point, interior_point, random_weights
 from blochmle.core import (
     CountRecord,
     InvalidInputError,
+    _three_floats,
     empirical_kl,
     norm_squared,
     stokes_vector,
@@ -175,6 +177,43 @@ def test_stokes_vector_refusals(value, message):
 def test_weight_vector_refusals(value, message):
     with pytest.raises(InvalidInputError, match=message):
         weight_vector(value)
+
+
+def outcome(call):
+    """What a call returns, or the type and message it raises."""
+    try:
+        return call()
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        (0.5, -0.0, 1e-300),
+        (np.float64(0.5), np.float64(-0.0), 0.25),
+        (1, 0, -1),
+        (True, False, True),
+        namedtuple("Triple", "a b c")(0.5, 0.25, 0.25),
+        [0.5, 0.25, 0.25],
+        (0.1, math.nan, 0.3),
+        (math.inf, 0.2, 0.3),
+        (0.1, 0.2, -math.inf),
+    ],
+    ids=repr,
+)
+def test_plain_float_tuples_skip_only_the_conversion(value):
+    # a plain tuple of plain floats is taken as it is; everything else, and
+    # every refusal, is what the item-by-item conversion of a list gives
+    got = outcome(lambda: _three_floats(value, "vector"))
+    want = outcome(lambda: _three_floats(list(value), "vector"))
+    if isinstance(want, tuple) and want[0] is InvalidInputError:
+        assert got == want
+        return
+    assert type(got) is tuple and all(type(x) is float for x in got)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+    plain = type(value) is tuple and all(type(x) is float for x in value)
+    assert (got is value) == plain
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,37 @@ def test_polish_no_worse_than_grid():
         assert empirical_kl(xi_hat, s, oracle_mle(xi_hat, s)) <= grid_value
 
 
+def rebuilt_grid():
+    """The scan's sphere points, built here the way the oracle builds them."""
+    polar = (np.arange(180) + 0.5) * (np.pi / 180)
+    azimuth = np.arange(180) * (2.0 * np.pi / 180)
+    polar, azimuth = np.meshgrid(polar, azimuth, indexing="ij")
+    sin_p = np.sin(polar)
+    return np.stack([sin_p * np.cos(azimuth), sin_p * np.sin(azimuth), np.cos(polar)], axis=-1)
+
+
+def test_grid_built_once_and_read_only():
+    grid = oracle._grid_points()
+    assert grid.shape == (180, 180, 3)
+    assert grid.tobytes() == rebuilt_grid().tobytes()
+    assert oracle._grid_points() is grid
+    with pytest.raises(ValueError):
+        grid[0, 0, 0] = 0.0
+    # the scan's best point is a copy, free to write to
+    point, _ = _grid_minimum(np.array([0.9, 0.8, 0.5]), EQUAL)
+    point[0] = 2.0
+    assert not np.shares_memory(point, grid) and grid.max() <= 1.0
+
+
+def test_shared_grid_leaves_answers_unchanged(monkeypatch):
+    # bit for bit what a grid rebuilt on every call gives
+    rng = np.random.default_rng(59)
+    cases = [(exterior_point(rng), random_weights(rng)) for _ in range(200)]
+    shared = [oracle_mle(xi, w).tobytes() for xi, w in cases]
+    monkeypatch.setattr(oracle, "_grid_points", rebuilt_grid)
+    assert [oracle_mle(xi, w).tobytes() for xi, w in cases] == shared
+
+
 def test_objective_evaluations_go_through_empirical_kl(monkeypatch):
     # the module-level empirical_kl is the one place the objective is
     # evaluated, so wrapping it counts every evaluation: one for the scan,
