@@ -1,61 +1,67 @@
-"""Direct likelihood maximization over the Bloch sphere.
+"""Direct likelihood maximization over the Bloch ball.
 
 The estimate that the closed-form projector produces is, by definition, the
 minimizer of the empirical Kullback-Leibler divergence over the physical
-states.  This module computes that minimizer the blunt way, sharing none of
-the projector's cubic/multiplier machinery, so the two can cross-check each
-other.  It is also the slow reference method for the timing comparison.
+states.  This module computes that minimizer with a general convex method,
+sharing none of the projector's cubic/multiplier machinery, so the two can
+cross-check each other.  It is also the slow reference method for the
+timing comparison.
 
-The search has two stages.  A global scan evaluates the objective on a
-180 x 180 grid in spherical angles and keeps the best point.  A Riemannian
-Newton polish then takes it to the minimum (Absil, Mahony & Sepulchre,
-*Optimization Algorithms on Matrix Manifolds*, 2008, ch. 6).  The gradient
-s_i (-p+_i / (1 + x_i) + p-_i / (1 - x_i)), with p+- = (1 +- xi_hat) / 2
-and the terms where p = 0 dropped, is projected onto the tangent plane
-by P = I - x x^T.  The Hessian is P diag(h) P - (x . grad) P, with h the
-diagonal Euclidean Hessian.  Each step is retracted onto the sphere by
-normalising.  Safeguards keep the polish from losing what the scan found:
+The objective f(x) = sum_i s_i KL_i(xi_hat_i || x_i) is convex on the ball,
+since each of its terms is -log of an affine function of x, so the search
+needs no global scan.  It has two stages (Boyd & Vandenberghe, *Convex
+Optimization*, 2004):
 
-* The step uses the Hessian's eigenvalues in absolute value (Nocedal &
-  Wright, *Numerical Optimization*, 2006, sec. 3.4): the Newton step where
-  the Hessian is positive, a descent direction where it is not.  With
-  weights near 1e-6 the objective has saddles between shallow wells, and a
-  plain Newton step that falls back to minus the gradient stalled next to
-  them on 4 of 8,000 random instances.  Minus the gradient remains the
-  fallback for a step that is not finite or not a descent direction.
-* A step is at most two grid cells long, so the polish stays in the basin
-  the scan found instead of overshooting into another well.
-* A step that raises the objective is halved.  A full step is also taken
-  when it halves the Riemannian gradient: next to the minimum the
-  objective is flat to rounding, and without this the polish stopped up
-  to 1.6e-8 short with weights in [0.1, 1].
+* A log-barrier method (sec. 11.3).  From x = 0, Newton steps with a
+  backtracking line search (sec. 9.5) minimize t f(x) - log(1 - |x|^2) for
+  t = 1, 20, 400, ..., up to the first t whose duality gap 1/t is below
+  1e-10: the central point for t is within 1/t of the minimum of f.
+* Newton on the KKT system grad f + nu x = 0, |x|^2 = 1 (Nocedal & Wright,
+  *Numerical Optimization*, 2006, sec. 18.1), from the last central point
+  with nu = 2 / (t (1 - |x|^2)), the dual point that the central point
+  gives (sec. 11.2.2).  This takes the answer to rounding.  A step
+  that would leave [-1, 1]^3 or turn non-finite ends the solve, and the
+  previous point is the answer.
 
-The polish ends at a step shorter than 1e-15, typically after four steps,
-within about 1e-13 of the projector.  With weights down to 1e-9 it can
-run out of its 100 steps along a curved valley: on 3,000 random exterior
-instances it ended more than 1e-12 from the projector on 30.  The scan
-stays at 180 points per angle.  On those instances grids of 90, 36 and
-24 points left 38, 39 and 48 short; with weights down to 1e-6 every grid
-came within 1e-4 on all of 9,000 instances, but the coarser ones took
-more steps.  The fine scan also keeps the oracle the blunt reference that
-the speed ordering is measured against.
+The gradient s_i (-p+_i / (1 + x_i) + p-_i / (1 - x_i)), with
+p+- = (1 +- xi_hat) / 2, and the diagonal Hessian drop the terms where
+p = 0, as the objective does (0 log 0 = 0), so a component can reach +-1 on
+an axis without outcomes of the other sign.  Every objective value goes
+through the module-level ``empirical_kl``, one point per call, 35 to 40 per
+exterior search.
+
+Measured against ``project_mle`` on random exterior estimates: with weights
+in [0.1, 1], at most 9.9e-14 apart (300 instances); with weights drawn
+log-uniform down to 1e-9, none more than 1e-12 apart (3,500 instances).
+That is the domain where the search is verified.  No input is refused
+below it, and every answer is finite and inside [-1, 1]^3, down to weights
+of 1e-300 and components at +-1.  But a weight far below the others leaves
+that axis's terms below the rounding of the rest and below the 1e-10 gap,
+so the objective is flat to rounding along it and the answer can stop
+inside the ball, at worst at the origin: with weights log-uniform down to
+1e-12, 13 of 300 answers were more than 1e-4 from the projector's, each
+with an objective within 2e-11 of it.  A call took 3-7 ms (median, on a
+shared 2-core Xeon with numpy 2.4).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .core import StokesVector, WeightVector, norm_squared, stokes_vector, weight_vector
 
-# Points per angle in the global scan; see the module docstring.
-_GRID = 180
-# A polish step is at most two grid cells long.  The polish stops after
-# _MAX_STEPS steps, or at a step shorter than _STEP_TOL.
-_MAX_STEP = 2.0 * math.pi / _GRID
-_MAX_STEPS = 100
+# The barrier stages run at t = 1, 20, 400, ..., 20^8, the first power of
+# 20 whose duality gap 1/t is below 1e-10.  A stage ends once half the
+# squared Newton decrement is below _CENTRED, after _MAX_STEPS steps, or when
+# _HALVINGS halvings of a step find no sufficient decrease (_ARMIJO).  The
+# KKT solve ends at a step shorter than _STEP_TOL, or after _MAX_STEPS steps.
+_STAGES = tuple(20.0**k for k in range(9))
+_CENTRED = 1e-4
+_ARMIJO = 0.25
+_HALVINGS = 60
+_MAX_STEPS = 50
 _STEP_TOL = 1e-15
 
 
@@ -77,82 +83,69 @@ def empirical_kl(xi_hat, s, xi):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.cache
-def _grid_points():
-    """The scan's _GRID x _GRID x 3 sphere points, built on first use and
-    shared, read-only, by every later scan."""
-    polar = (np.arange(_GRID) + 0.5) * (np.pi / _GRID)
-    azimuth = np.arange(_GRID) * (2.0 * np.pi / _GRID)
-    polar, azimuth = np.meshgrid(polar, azimuth, indexing="ij")
-    sin_p = np.sin(polar)
-    points = np.stack([sin_p * np.cos(azimuth), sin_p * np.sin(azimuth), np.cos(polar)], axis=-1)
-    points.setflags(write=False)
-    return points
+def _derivatives(xi_hat, s, x):
+    """The objective's gradient and diagonal Hessian at ``x``, with the terms
+    where p_hat = 0 dropped; inf or NaN where x_i = +-1 meets p_hat > 0."""
+    gradient, curvature = np.zeros(3), np.zeros(3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            p_hat, q = (1.0 + sign * xi_hat) / 2.0, 1.0 + sign * x
+            gradient = gradient - sign * s * np.where(p_hat > 0.0, p_hat / q, 0.0)
+            curvature = curvature + s * np.where(p_hat > 0.0, p_hat / (q * q), 0.0)
+    return gradient, curvature
 
 
-def _grid_minimum(xi_hat, s):
-    """The best point of the global angle scan and its objective value; ties
-    go to the lowest grid index (np.argmin)."""
-    points = _grid_points()
-    values = empirical_kl(xi_hat, s, points)
-    i, j = divmod(int(np.argmin(values)), _GRID)
-    return points[i, j].copy(), float(values[i, j])
-
-
-def _polish(xi_hat, s, x, value):
-    """Safeguarded Riemannian Newton steps from the sphere point ``x``, whose
-    objective is ``value``; see the module docstring."""
-    p_plus = (1.0 + xi_hat) / 2.0
-    p_minus = (1.0 - xi_hat) / 2.0
-
-    def derivatives(x):
-        # the Euclidean gradient and diagonal Hessian, terms where p_hat = 0 dropped
-        up = np.divide(p_plus, 1.0 + x, out=np.zeros(3), where=p_plus > 0.0)
-        down = np.divide(p_minus, 1.0 - x, out=np.zeros(3), where=p_minus > 0.0)
-        grad = s * (down - up)
-        diag = s * (
-            np.divide(up, 1.0 + x, out=np.zeros(3), where=p_plus > 0.0)
-            + np.divide(down, 1.0 - x, out=np.zeros(3), where=p_minus > 0.0)
-        )
-        # their Riemannian counterparts; x x^T makes the Hessian the identity
-        # on the normal, so its eigenvectors split into x and the tangent plane
-        radial = float(x @ grad)
-        project = np.eye(3) - np.outer(x, x)
-        hessian = project @ (diag[:, None] * project) - radial * project + np.outer(x, x)
-        return grad - radial * x, hessian
-
-    gradient, hessian = derivatives(x)
-    for _ in range(_MAX_STEPS):
-        size = float(np.linalg.norm(gradient))
-        eigenvalues, vectors = np.linalg.eigh(hessian)
-        with np.errstate(all="ignore"):
-            step = -(vectors @ ((vectors.T @ gradient) / np.abs(eigenvalues)))
-        newton = bool(np.all(np.isfinite(step)) and step @ gradient < 0.0)
-        if not newton:
-            step = -gradient
-        length = float(np.linalg.norm(step))
-        if length > _MAX_STEP:
-            step, length = step * (_MAX_STEP / length), _MAX_STEP
-        t = 1.0
-        while True:
-            if t * length < _STEP_TOL:
-                return x
-            trial = x + t * step
-            trial = trial / np.linalg.norm(trial)
-            trial_value = empirical_kl(xi_hat, s, trial)
-            if trial_value <= value:
+def _barrier(xi_hat, s):
+    """The last barrier stage's central point."""
+    x = np.zeros(3)
+    kl = empirical_kl(xi_hat, s, x)
+    for t in _STAGES:
+        for _ in range(_MAX_STEPS):
+            gradient, curvature = _derivatives(xi_hat, s, x)
+            slack = 1.0 - norm_squared(x)
+            gradient = t * gradient + (2.0 / slack) * x
+            hessian = np.diag(t * curvature + 2.0 / slack) + (4.0 / slack**2) * np.outer(x, x)
+            step = -np.linalg.solve(hessian, gradient)
+            decrement = -float(gradient @ step)
+            if decrement <= 2.0 * _CENTRED:
                 break
-            if newton and t == 1.0 and trial_value < np.inf:
-                if np.linalg.norm(derivatives(trial)[0]) <= 0.5 * size:
-                    break
-            t *= 0.5
-        x, value = trial, trial_value
-        gradient, hessian = derivatives(x)
+            value, a = t * kl - math.log(slack), 1.0
+            for _ in range(_HALVINGS):
+                trial = x + a * step
+                trial_slack = 1.0 - norm_squared(trial)
+                if trial_slack > 0.0:
+                    trial_kl = empirical_kl(xi_hat, s, trial)
+                    if t * trial_kl - math.log(trial_slack) <= value - _ARMIJO * a * decrement:
+                        break
+                a /= 2.0
+            else:
+                break
+            x, kl = trial, trial_kl
+    return x
+
+
+def _kkt(xi_hat, s, x, nu):
+    """Newton steps on grad f + nu x = 0, |x|^2 = 1 from ``(x, nu)``.  Each
+    solves the 4 x 4 KKT system by eliminating the step in x, so a singular
+    system (x = 0) gives a non-finite step instead of an error."""
+    gradient, curvature = _derivatives(xi_hat, s, x)
+    for _ in range(_MAX_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled_residual, scaled_x = (gradient + nu * x) / (curvature + nu), x / (curvature + nu)
+            nu_step = ((norm_squared(x) - 1.0) / 2.0 - scaled_residual @ x) / (scaled_x @ x)
+            step = -(scaled_residual + nu_step * scaled_x)
+        trial = x + step
+        trial_gradient, trial_curvature = _derivatives(xi_hat, s, trial)
+        if not (np.all(np.abs(trial) <= 1.0) and np.all(np.isfinite([nu_step, *trial_gradient, *trial_curvature]))):
+            break
+        x, nu, gradient, curvature = trial, nu + nu_step, trial_gradient, trial_curvature
+        if np.max(np.abs(step)) < _STEP_TOL:
+            break
     return x
 
 
 def oracle_mle(xi_hat: StokesVector, s: WeightVector):
-    """Corrected estimate by direct objective minimization on the sphere, as
+    """Corrected estimate by direct objective minimization over the ball, as
     a numpy array of shape (3,).
 
     Physical inputs (norm <= 1) are returned unchanged, mirroring the
@@ -162,10 +155,8 @@ def oracle_mle(xi_hat: StokesVector, s: WeightVector):
     s = np.array(weight_vector(s))
     if norm_squared(xi_hat) <= 1.0:
         return xi_hat
-    return _polish(xi_hat, s, *_grid_minimum(xi_hat, s))
+    x = _barrier(xi_hat, s)
+    return _kkt(xi_hat, s, x, 2.0 / (_STAGES[-1] * (1.0 - norm_squared(x))))
 
 
-__all__ = [
-    "empirical_kl",
-    "oracle_mle",
-]
+__all__ = ["empirical_kl", "oracle_mle"]

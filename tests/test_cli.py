@@ -338,6 +338,16 @@ class TestCliEstimate:
         report = json.loads(capsys.readouterr().out)
         assert report["oracle"]["max_discrepancy"] < 1e-4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_oracle_flag_at_a_pole(self, tmp_path, capsys):
+        # 2^60 plus-counts on axis 1 and none minus: the answer's x_1 rounds
+        # to exactly 1.0, where the oracle's derivatives must drop the
+        # minus term (p_hat = 0) instead of dividing by 1 - x_1 = 0
+        path = tmp_path / "counts.csv"
+        path.write_text(counts_to_csv(CountRecord((2**60, 3, 0), (0, 0, 2))))
+        assert main(["estimate", "--in", str(path), "--oracle"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"]["max_discrepancy"] < 1e-12
+
 
 BOM = "\ufeff"
 WRITERS = {"json": counts_to_json, "csv": counts_to_csv}
