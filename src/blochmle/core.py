@@ -180,10 +180,8 @@ def empirical_kl(xi_hat, s, xi) -> float:
     point; the objective whose sphere minimizer is the corrected estimate.
 
     A term with empirical probability 0 drops out (0 log 0 = 0); a model
-    probability of 0 against a positive empirical one gives inf.  The
-    oracle's ``empirical_kl`` is the same sum over arrays of model points,
-    in the same order: the three + terms, the three - terms, then the two
-    partial sums.
+    probability of 0 against a positive empirical one gives inf.  The report
+    and the oracle's search both evaluate this function.
     """
     plus = minus = 0.0
     for a, w, m in zip(xi_hat, s, xi):

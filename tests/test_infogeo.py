@@ -12,7 +12,7 @@ from blochmle.checks import (
     marginal_decomposition_defect,
     pythagorean_defect,
 )
-from blochmle.core import InvalidInputError, stokes_vector, weight_vector
+from blochmle.core import InvalidInputError, empirical_kl, stokes_vector, weight_vector
 from blochmle.infogeo import (
     canonical_divergence,
     dual_coordinates,
@@ -23,7 +23,6 @@ from blochmle.infogeo import (
     product_distribution,
     randomized_distribution,
 )
-from blochmle.oracle import empirical_kl
 
 # Frozen via 50-digit decimal summation of the two-term formula.
 KL_75_25_VS_UNIFORM = 0.13081203594113696

@@ -5,8 +5,8 @@ import pytest
 
 from blochmle import core, oracle
 from blochmle.checks import exterior_point, random_weights
-from blochmle.core import CountRecord, InvalidInputError, stokes_vector, temporal_estimate
-from blochmle.oracle import empirical_kl, oracle_mle
+from blochmle.core import CountRecord, InvalidInputError, empirical_kl, stokes_vector, temporal_estimate
+from blochmle.oracle import oracle_mle
 from blochmle.projector import project_mle
 
 EQUAL = np.array([1 / 3, 1 / 3, 1 / 3])
@@ -127,9 +127,11 @@ def test_objective_no_higher_than_projector():
 
 def test_objective_evaluations_go_through_empirical_kl(monkeypatch):
     # the module-level empirical_kl is the one place the objective is
-    # evaluated, one point per call.  The traced benchmark wraps it to count
-    # the evaluations inside each oracle_mle span, and finds no oracle span
-    # to read if an exterior search makes none.
+    # evaluated, one point per call, and it is core's, the function the
+    # report sums.  The traced benchmark wraps it to count the evaluations
+    # inside each oracle_mle span, and finds no oracle span to read if an
+    # exterior search makes none.
+    assert oracle.empirical_kl is core.empirical_kl
     cases = [temporal_estimate(counts) for counts in HARD_RECORDS] + [((0.9, 0.8, 0.5), tuple(EQUAL))]
     expected = [oracle_mle(xi_hat, s).tobytes() for xi_hat, s in cases]
     shapes = []
@@ -223,24 +225,42 @@ class TestNegativeLogLikelihood:
 
 def test_objective_formulations_agree():
     # the raw likelihood and N times the weighted-KL objective differ by a
-    # constant over the sphere (minus the saturated log-likelihood), so
-    # minimizing either picks the same point
-    counts = CountRecord((95, 90, 80), (5, 10, 20))
-    xi_hat, s_hat = temporal_estimate(counts)
-    total = sum(counts.axis_totals)
-    saturated = -sum(
-        n * math.log(n / t)
-        for t, n_plus, n_minus in zip(counts.axis_totals, counts.n_plus, counts.n_minus)
-        for n in (n_plus, n_minus)
-        if n > 0
-    )
-    rng = np.random.default_rng(53)
-    points = rng.normal(size=(200, 3))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-    for point in [*points, oracle_mle(xi_hat, s_hat)]:
-        nll = negative_log_likelihood(point, counts)
-        difference = nll - total * empirical_kl(xi_hat, s_hat, point)
-        assert difference == pytest.approx(saturated, rel=1e-12, abs=1e-12 * nll)
+    # constant (minus the saturated log-likelihood) wherever the likelihood
+    # is positive, so minimizing either over the ball picks the same point.
+    # An axis without outcomes of one sign puts xi_hat_i at a pole (xi_hat_3
+    # = -1 in the first hard record, xi_hat_1 = +1 in the second): its
+    # p_hat = 0 term drops out, so the constant holds with x_i at that pole
+    # too, and at the opposite pole the likelihood is 0 and the KL inf
+    records = [(CountRecord((95, 90, 80), (5, 10, 20)), []), (HARD_RECORDS[0], [2]), (HARD_RECORDS[1], [0])]
+    for counts, pole_axes in records:
+        xi_hat, s_hat = temporal_estimate(counts)
+        assert all(abs(xi_hat[i]) == 1.0 for i in pole_axes)
+        total = sum(counts.axis_totals)
+        saturated = -sum(
+            n * math.log(n / t)
+            for t, n_plus, n_minus in zip(counts.axis_totals, counts.n_plus, counts.n_minus)
+            for n in (n_plus, n_minus)
+            if n > 0
+        )
+        rng = np.random.default_rng(53)
+        points = rng.normal(size=(200, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        allowed, forbidden = [*points, oracle_mle(xi_hat, s_hat)], []
+        for i in pole_axes:
+            allowed.append(xi_hat[i] * np.eye(3)[i])
+            for point in rng.uniform(-0.9, 0.9, (20, 3)):
+                point[i] = xi_hat[i]
+                allowed.append(point.copy())
+                point[i] = -xi_hat[i]
+                forbidden.append(point)
+        for point in allowed:
+            nll = negative_log_likelihood(point, counts)
+            difference = nll - total * empirical_kl(xi_hat, s_hat, point)
+            assert difference == pytest.approx(saturated, rel=1e-12, abs=1e-12 * nll)
+        for point in forbidden:
+            with pytest.raises(InvalidInputError):
+                negative_log_likelihood(point, counts)
+            assert empirical_kl(xi_hat, s_hat, point) == math.inf
 
 
 def test_oracle_projector_agreement_battery():
@@ -252,31 +272,3 @@ def test_oracle_projector_agreement_battery():
         gap = np.max(np.abs(oracle_mle(xi, w) - project_mle(xi, w).xi_star))
         worst = max(worst, gap)
     assert worst < 1e-4
-
-
-def test_scalar_and_array_kl_agree():
-    # core.empirical_kl (one model point, math.log) and the oracle's
-    # empirical_kl (an array of points, np.log) are one formula summed in
-    # the same order; they may differ only by the rounding of a log, a few
-    # ulps of the size of the terms
-    rng = np.random.default_rng(43)
-    eps = np.finfo(float).eps
-    cases = []
-    for _ in range(300):
-        w = rng.uniform(0.1, 1.0, 3)
-        cases.append((rng.uniform(-1.0, 1.0, 3), w / w.sum(), rng.uniform(-1.0, 1.0, (8, 3))))
-    edge = np.array([[0.8, 0.1, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.5, 0.5], [0.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
-    # |xi_hat_i| = 1, where p_hat = 0 and the term drops out, against model
-    # points at +-1, where p_hat > 0 meets p_model = 0
-    cases.append((np.array([1.0, 0.0, 0.0]), EQUAL, edge))
-    cases.append((np.array([-1.0, 1.0, 0.3]), np.array([0.2, 0.3, 0.5]), edge))
-    for xi_hat, s, points in cases:
-        batch = empirical_kl(xi_hat, s, points)
-        for point, vector_value in zip(points, batch):
-            scalar = core.empirical_kl(xi_hat, s, point)
-            if math.isinf(vector_value):
-                assert scalar == vector_value == math.inf
-                continue
-            assert abs(scalar - vector_value) <= 4.0 * eps * term_size(xi_hat, s, point)
-    assert core.empirical_kl((1.0, 0.0, 0.0), EQUAL, (1.0, 0.0, 0.0)) == 0.0
-    assert core.empirical_kl((0.5, 0.0, 0.0), EQUAL, (1.0, 0.0, 0.0)) == math.inf

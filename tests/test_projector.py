@@ -161,6 +161,17 @@ class TestCubicSolve:
             assert math.copysign(1.0, x) == math.copysign(1.0, a)
             assert abs(x) <= abs(a)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP Known defects, 'Valid input can end in a SolverError': "
+        "at the cubic's near-double root cubic_solve is accurate only to about 1e-8",
+    )
+    def test_near_double_root_within_property_bound(self):
+        # an input that test_matches_oracle_and_shrinks draws only now and
+        # then: 0.9999999913968105 against the bisection's 0.9999999925494194
+        mu, a = 2.0, 1.0 - 2.0**-53
+        assert cubic_solve(mu, a) == pytest.approx(bisect_root(mu, a), abs=1e-9)
+
     def test_grid_residuals(self):
         grid = cubic_grid_residuals()
         assert grid["max_scaled"] < 1e-12
