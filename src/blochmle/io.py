@@ -6,12 +6,20 @@ exactly three rows.  Floats in reports are serialized in Python's shortest
 round-trip decimal form (up to 17 significant digits), so parsing a report
 back recovers bit-identical doubles.
 
-Reports and JSON counts files are written by ``_json_text``, whose output
-matches ``json.dumps`` with a two-space indent byte for byte: ``json`` has no
-C path once ``indent`` is set, and its pure-Python indenting encoder cost
-more per record than the estimate itself.  A list of finite floats, such as
-a report's 3-vectors, is written with one join.  ``csv_text`` writes every
-CSV.
+Reports and JSON counts files are written from fixed ``%``-layouts, each
+filled by one format call: the report head (``xi_hat`` to
+``residual_evaluations``), the projected tail (``lambda_star``,
+``norm_residual``, ``equation_residuals``), the ``oracle`` block and the
+counts file.  The text is byte-identical to ``json.dumps`` with a two-space
+indent, which has no C path and costs more per record than the estimate
+itself.  Every value in a report is a plain float, bool or int, so ``%r``
+writes a float as ``float.__repr__`` does and ``%d`` an int as
+``int.__repr__`` does.  Every float in a report is finite for validated
+counts: |x_i| <= |xi_hat_i| keeps every model probability positive wherever
+the empirical one is, so the KL is finite; lambda never exceeds the
+solver's ``lam_max``; and the oracle's answers are finite.  The layouts
+rely on that, since ``%r`` writes ``nan`` and ``inf`` where ``json.dumps``
+writes ``NaN`` and ``Infinity``.  ``csv_text`` writes every CSV.
 
 A report's ``kl_empirical_to_mle`` is exactly 0.0 when the estimate was
 not projected, and ``empirical_kl`` is then not called: the MLE is the
@@ -30,15 +38,22 @@ import io as _io
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .core import CountRecord, InvalidInputError, empirical_kl, norm_squared, temporal_estimate
 from .projector import project_mle
 
 COUNTS_CSV_HEADER = ["axis", "n_plus", "n_minus"]
 
-# float.__repr__ of the non-finite floats -> what json writes for them
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# a 3-vector at the indent of a report's top-level keys
+_VECTOR = "[\n    %r,\n    %r,\n    %r\n  ]"
+_REPORT_HEAD = (
+    '{\n  "xi_hat": ' + _VECTOR + ',\n  "s_hat": ' + _VECTOR + ',\n  "xi_hat_norm": %r,\n  "was_projected": %s,\n'
+    '  "xi_star": ' + _VECTOR + ',\n  "kl_empirical_to_mle": %r,\n  "residual_evaluations": %d'
+)
+_PROJECTED_TAIL = ',\n  "lambda_star": %r,\n  "norm_residual": %r,\n  "equation_residuals": ' + _VECTOR
+_ORACLE_BLOCK = ',\n  "oracle": {\n    "xi": [\n      %r,\n      %r,\n      %r\n    ],\n    "max_discrepancy": %r\n  }'
+_COUNTS_AXIS = '    {\n      "axis": %d,\n      "n_plus": %%d,\n      "n_minus": %%d\n    }'
+_COUNTS_JSON = '{\n  "axes": [\n' + ",\n".join(_COUNTS_AXIS % axis for axis in (1, 2, 3)) + "\n  ]\n}\n"
 
 
 def __getattr__(name):
@@ -48,59 +63,6 @@ def __getattr__(name):
 
     value = globals()[name] = getattr(oracle, name)
     return value
-
-
-def _json_text(value, pad: str) -> str:
-    """What ``json.dumps`` with a two-space indent returns, for dicts with
-    str keys, lists, tuples, floats, ints, bools and None; any other type
-    raises TypeError.  ``pad`` is the indent of the line that ``value``
-    starts on.  The containers write their float items in place, without
-    a call per leaf: a report is mostly floats."""
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            if isinstance(item, float):
-                text = float.__repr__(item)
-                items.append(f"{encode_basestring_ascii(key)}: {_NON_FINITE.get(text, text)}")
-            else:
-                items.append(f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}")
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        # all floats, all finite: one join; float.__repr__ refuses bools,
-        # ints and np.float32, and only nan and inf put an "n" in the text
-        try:
-            text = f",\n{inner}".join(map(float.__repr__, value))
-        except TypeError:
-            text = "n"
-        if "n" in text:
-            items = []
-            for item in value:
-                if isinstance(item, float):
-                    text = float.__repr__(item)
-                    items.append(_NON_FINITE.get(text, text))
-                else:
-                    items.append(_json_text(item, inner))
-            text = f",\n{inner}".join(items)
-        return f"[\n{inner}{text}\n{pad}]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _require_int(value, idx: int, key: str) -> int:
@@ -192,13 +154,8 @@ def parse_counts(text: str) -> CountRecord:
 
 
 def counts_to_json(counts: CountRecord) -> str:
-    doc = {
-        "axes": [
-            {"axis": i + 1, "n_plus": counts.n_plus[i], "n_minus": counts.n_minus[i]}
-            for i in range(3)
-        ]
-    }
-    return _json_text(doc, "") + "\n"
+    (p1, p2, p3), (m1, m2, m3) = counts
+    return _COUNTS_JSON % (p1, m1, p2, m2, p3, m3)
 
 
 def csv_text(header, rows) -> str:
@@ -242,4 +199,20 @@ def build_estimate_report(counts: CountRecord, with_oracle: bool = False) -> dic
 
 
 def report_to_json(report: dict) -> str:
-    return _json_text(report, "") + "\n"
+    """The text of a report that ``build_estimate_report`` returned."""
+    projected = report["was_projected"]
+    text = _REPORT_HEAD % (
+        *report["xi_hat"],
+        *report["s_hat"],
+        report["xi_hat_norm"],
+        "true" if projected else "false",
+        *report["xi_star"],
+        report["kl_empirical_to_mle"],
+        report["residual_evaluations"],
+    )
+    if projected:
+        text += _PROJECTED_TAIL % (report["lambda_star"], report["norm_residual"], *report["equation_residuals"])
+    if "oracle" in report:
+        oracle = report["oracle"]
+        text += _ORACLE_BLOCK % (*oracle["xi"], oracle["max_discrepancy"])
+    return text + "\n}\n"
