@@ -42,10 +42,6 @@ _FLOAT_MAX = sys.float_info.max
 _ROOT_STEP_TOL = 1e-13
 _RESIDUAL_FLOOR = 4.0 * sys.float_info.epsilon
 
-# Rounding in the closed form can push the arctan radicand slightly negative
-# near its zero (mu = 2, |a| -> 1); anything below this is a logic error.
-_RADICAND_SLACK = -1e-12
-
 
 class ProjectionResult(
     namedtuple(
@@ -114,10 +110,13 @@ def cubic_solve(mu: float, a: float) -> float:
             x = mu * a / (1.0 + mu)
         else:
             radicand = cube / denominator - 1.0
-            if radicand < 0.0:
-                if radicand < _RADICAND_SLACK:
-                    raise SolverError(f"negative discriminant {radicand} at mu={mu}, a={a}")
-                radicand = 0.0
+            if radicand < 1e-4:
+                # Near its zero (mu -> 2, |a| -> 1) that difference cancels,
+                # and the root loses about sqrt(eps).  The same numerator as
+                # (mu - 2)^2 (4 mu + 1) + 27 mu^2 (1 - a^2) is a sum of two
+                # terms >= 0, each exact to a few roundings.
+                b = abs(a)
+                radicand = ((mu - 2.0) ** 2 * (4.0 * mu + 1.0) + 27.0 * mu * mu * ((1.0 - b) * (1.0 + b))) / denominator
             angle = (math.pi + math.atan(math.sqrt(radicand))) / 3.0
             x = math.copysign(2.0 * math.sqrt((mu + 1.0) / 3.0) * math.cos(angle), a)
     # The interior root is simple with f' > 0, but it nears a double root as

@@ -15,7 +15,7 @@ from blochmle.checks import (
     projection_orthogonality_defect,
     projection_residual_battery,
 )
-from blochmle.core import CountRecord, InvalidInputError, SolverError, norm_squared, temporal_estimate
+from blochmle.core import CountRecord, InvalidInputError, norm_squared, temporal_estimate
 from blochmle.projector import (
     _evaluate,
     cubic_solve,
@@ -39,8 +39,11 @@ ON_SPHERE_ROUNDED_TO_ONE = CountRecord((2, 5, 9), (20, 17, 13))
 
 
 def bisect_root(mu, a, iterations=200):
-    """Independent oracle: plain bisection of x(1-x^2) - mu(a-x) on [-1, 1]."""
-    f = lambda x: x * (1.0 - x * x) - mu * (a - x)
+    """Independent oracle: plain bisection of x(1-x^2) - mu(a-x) on [-1, 1].
+    1 - x^2 is formed as (1 - x)(1 + x): near the double root (mu -> 2,
+    |a| -> 1) the two terms of f cancel to about eps^2, and 1 - x * x would
+    place the sign change up to 1e-8 from the root."""
+    f = lambda x: x * ((1.0 - x) * (1.0 + x)) - mu * (a - x)
     lo, hi = -1.0, 1.0
     assert f(lo) <= 0.0 <= f(hi)
     for _ in range(iterations):
@@ -161,16 +164,21 @@ class TestCubicSolve:
             assert math.copysign(1.0, x) == math.copysign(1.0, a)
             assert abs(x) <= abs(a)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP Known defects, 'Valid input can end in a SolverError': "
-        "at the cubic's near-double root cubic_solve is accurate only to about 1e-8",
-    )
     def test_near_double_root_within_property_bound(self):
         # an input that test_matches_oracle_and_shrinks draws only now and
-        # then: 0.9999999913968105 against the bisection's 0.9999999925494194
+        # then; the root to 60 digits is 0.99999999139681056..., which the
+        # bisection of 1 - x * x placed at 0.9999999925494194
         mu, a = 2.0, 1.0 - 2.0**-53
         assert cubic_solve(mu, a) == pytest.approx(bisect_root(mu, a), abs=1e-9)
+        assert cubic_solve(mu, a) == pytest.approx(0.99999999139681056, abs=2.0**-52)
+
+    @pytest.mark.parametrize("a", [1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1.0 - 2.0**-50])
+    def test_just_below_the_double_root(self, a):
+        # mu a few ulp below 2: the closed form's radicand cancelled there
+        # and left the root 9.5e-9 off (mu = 2.000122053303152 (1 - 2^-14),
+        # a = 1 - 2^-53 gave 0.9999999959235184 for 0.99999998640340415)
+        mu = 2.000122053303152 * (1.0 - 2.0**-14)
+        assert cubic_solve(mu, a) == pytest.approx(bisect_root(mu, a), abs=1e-15)
 
     def test_grid_residuals(self):
         grid = cubic_grid_residuals()
@@ -399,13 +407,7 @@ class TestProjectMle:
             s /= s.sum()
             kink = min(2.0 / s[i] for i in pure)
             evaluated.clear()
-            try:
-                project_mle(xi_hat, s)
-            except SolverError:
-                # a known defect: next to a near-kink component, cubic_solve's
-                # rounding can make r jump across 0 between adjacent floats
-                # (1 of these 2000 inputs)
-                assert 1.0 - 2.0**-53 in xi_hat
+            project_mle(xi_hat, s)
             assert evaluated and max(evaluated) <= kink, (xi_hat.tolist(), s.tolist())
 
     def test_near_kink_component(self):
@@ -562,6 +564,11 @@ def _just_outside(direction, log_excess):
 # x_3 = 1 - 7.6e-6 near the cubic's double root, where 1 - x * x loses the
 # digits that the root needs
 @example(xi_hat=np.array([0.0, 1.0, 1.0 - 2.0**-53]), s=np.array([1e-300, 2.0**-9, 1.0 - 2.0**-9]))
+# mu_2 a few ulp below 2, where the closed form's radicand cancelled and
+# left x_2 9.5e-9 off: r jumped across 0 between adjacent floats of lam,
+# and the solve refused the first and missed the second by 6.6e-9
+@example(xi_hat=np.array([1.0, 1.0 - 2.0**-53, 0.0]), s=np.array([2.0**-14, 1.0 - 2.0**-14, 1e-300]))
+@example(xi_hat=np.array([0.96875, 1.0 - 2.0**-53, 0.0]), s=np.array([2.0**-14, 1.0 - 2.0**-14, 1e-300]))
 @settings(max_examples=150, deadline=None)
 def test_hard_weights_match_log_bisection(xi_hat, s):
     assert_matches_reference(xi_hat, s)
