@@ -7,11 +7,13 @@ those conventions are enforced, so downstream numerics can assume them.
 They accept any 3-sequence of real numbers (lists, tuples, numpy arrays and
 numpy scalars) and return plain floats.
 
-One record's estimate is three numbers, so this module, the projector and
-the report work in plain floats and never import numpy: a ``blochmle
-estimate`` process does not pay for loading it.  Modules that work on
-arrays (the oracle, information geometry, simulator and checks) convert
-with ``np.asarray`` where they need to.
+One record's estimate is three numbers, so its path (this module, the
+projector's solve and the report) works in plain floats and never imports
+numpy: a ``blochmle estimate`` process does not pay for loading it.  Only
+``projector.projection_trajectory``, which returns an array, imports numpy,
+when called.  Modules that work on arrays (the oracle, information
+geometry, simulator and checks) convert with ``np.asarray`` where they need
+to.
 
 The package's records (``CountRecord`` here, ``ProjectionResult``,
 ``SimulationSpec`` and the rest) are ``collections.namedtuple`` subclasses:

@@ -26,6 +26,7 @@ from .core import (
     SolverError,
     StokesVector,
     WeightVector,
+    _number,
     norm_squared,
     stokes_vector,
     weight_vector,
@@ -68,30 +69,48 @@ class ProjectionResult(
     __slots__ = ()
 
 
+def _real(value, name: str) -> float:
+    """``float(value)`` for a real number, else ``InvalidInputError`` (see
+    ``cubic_solve``)."""
+    if _number(value):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 def cubic_solve(mu: float, a: float) -> float:
     """Unique root in [-1, 1] of x (1 - x^2) = mu (a - x), for finite mu > 0.
 
     Evaluated in closed form,
 
-        x = sgn(a) * 2 sqrt((mu+1)/3) * cos[(pi + arctan r)/3],
-        r = sqrt(4 (mu+1)^3 / (27 mu^2 a^2) - 1),
+        x = sgn(a) * 2 sqrt((mu+1)/3) * cos[(pi + arctan sqrt(D / (27 mu^2 a^2)))/3],
+        D = 4 (mu+1)^3 - 27 mu^2 a^2 = (mu - 2)^2 (4 mu + 1) + 27 mu^2 (1 - a)(1 + a),
 
     then polished with up to two Newton steps; trig evaluation alone leaves
     residuals around 1e-13..1e-11 (worse for small mu, where the cosine
-    lands near its zero).  a = 0 short-circuits to 0, which is forced
-    analytically and avoids the 0/0 in the radicand.  For |a| = 1 the cubic
-    factors as (1 - x)(x^2 + x - mu) = 0 and the root is
-    sgn(a) * min(1, (sqrt(1 + 4 mu) - 1)/2), on the boundary for mu >= 2; the
-    trig form would lose about sqrt(eps) at the double root mu = 2.
+    lands near its zero).  D is formed as the sum of two terms >= 0, each
+    exact to a few roundings, so it does not cancel near its zero at the
+    double root mu = 2, |a| = 1.  Where D / (27 mu^2 a^2) exceeds 1e26,
+    a = 0 included, the equation is linear to better than 1e-13 relative
+    and x = mu a / (1 + mu).  For |a| = 1 the cubic factors as
+    (1 - x)(x^2 + x - mu) = 0 and the root is
+    sgn(a) * min(1, (sqrt(1 + 4 mu) - 1)/2): exactly +-1 at and above the
+    kink mu = 2, which the multiplier solve's kink argument relies on, and
+    one square root instead of the arctan, the cosine and two roots.
+
+    mu and a are floats or real numbers (ints, bools, numpy scalars and 0-d
+    arrays); text, other arrays and anything float() refuses raise
+    ``InvalidInputError``.
     """
-    mu = float(mu)
-    a = float(a)
+    if type(mu) is not float or type(a) is not float:
+        mu = _real(mu, "mu")
+        a = _real(a, "a")
     if not 0.0 < mu <= _FLOAT_MAX:
         raise InvalidInputError(f"mu must be positive and finite, got {mu}")
     if not -1.0 <= a <= 1.0:
         raise InvalidInputError(f"a must lie in [-1, 1], got {a}")
-    if a == 0.0:
-        return 0.0
     if a == 1.0 or a == -1.0:
         if mu >= 2.0:
             # also keeps 4 mu from overflowing for mu near the largest float
@@ -102,22 +121,14 @@ def cubic_solve(mu: float, a: float) -> float:
         # a - x < ulp(a): the root rounds to a itself
         x = a
     else:
-        cube = 4.0 * (mu + 1.0) ** 3
-        denominator = 27.0 * (mu * a) ** 2  # underflows for |a| below ~1e-150
-        if cube > 1e26 * denominator:
+        denominator = 27.0 * (mu * a) * (mu * a)  # underflows for |a| below ~1e-150
+        discriminant = (mu - 2.0) * (mu - 2.0) * (4.0 * mu + 1.0) + 27.0 * mu * mu * ((1.0 - a) * (1.0 + a))
+        if discriminant > 1e26 * denominator:
             # arctan saturates at pi/2 and the cosine loses the root; the
             # equation is then linear to better than 1e-13 relative
             x = mu * a / (1.0 + mu)
         else:
-            radicand = cube / denominator - 1.0
-            if radicand < 1e-4:
-                # Near its zero (mu -> 2, |a| -> 1) that difference cancels,
-                # and the root loses about sqrt(eps).  The same numerator as
-                # (mu - 2)^2 (4 mu + 1) + 27 mu^2 (1 - a^2) is a sum of two
-                # terms >= 0, each exact to a few roundings.
-                b = abs(a)
-                radicand = ((mu - 2.0) ** 2 * (4.0 * mu + 1.0) + 27.0 * mu * mu * ((1.0 - b) * (1.0 + b))) / denominator
-            angle = (math.pi + math.atan(math.sqrt(radicand))) / 3.0
+            angle = (math.pi + math.atan(math.sqrt(discriminant / denominator))) / 3.0
             x = math.copysign(2.0 * math.sqrt((mu + 1.0) / 3.0) * math.cos(angle), a)
     # The interior root is simple with f' > 0, but it nears a double root as
     # mu -> 2, |a| -> 1, where f' can round to <= 0 and the step is skipped.
