@@ -1,11 +1,13 @@
-"""Seeded invariant batteries behind the ``check`` CLI subcommand, the
-timing battery behind ``bench``, and the error-versus-N sweep
-(``consistency_errors``) behind ``sweep``.
+"""Seeded invariant batteries and the gate table behind the ``check`` CLI
+subcommand, the timing battery behind ``bench``, and the error-versus-N
+sweep (``consistency_errors``) behind ``sweep``.
 
-Each battery returns its worst-case defect so callers can compare against
-the pinned tolerances; the suite wrappers turn them into named pass/fail
-outcomes.  Each battery fixes its own size and takes only a seed, so the
-suites, the tests and the acceptance criteria all run it at that size.
+Each battery fixes its own size, takes only a seed, and returns its worst
+defect, or whether a yes/no property held.  ``GATES`` holds one row per
+check: its suite, its name, its battery and its bound, written only there;
+``run_gates`` runs the rows of the chosen suites.  The ``check`` command,
+the tests and the acceptance criteria all run each battery at its size and
+read its bound from its row.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .simulator import SimulationSpec, simulate
 CONSISTENCY_STATE = (0.5773502691896258, 0.5773502691896258, 0.5773502691896258)
 EQUAL_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
-# run_benchmark: the largest max-norm gap allowed between the two methods
+# bench and estimate --oracle: the methods agree when the max-norm gap
+# between their answers is below this
 DISCREPANCY_TOL = 1e-4
 
 
@@ -168,29 +171,31 @@ def foliation_defect(seed=0) -> float:
 
 # --- projector batteries ---------------------------------------------------
 
-def projection_residual_battery(seed=0) -> dict:
-    """Residuals and shrinkage over random exterior inputs, random weights."""
+def _exterior_projections(seed):
+    """1000 random exterior inputs with random weights, each with its
+    projection."""
     rng = np.random.default_rng(seed)
-    max_norm_residual = 0.0
-    max_equation_residual = 0.0
-    shrinkage_ok = True
     for _ in range(1000):
         xi_hat = exterior_point(rng)
-        s = random_weights(rng)
-        res = project_mle(xi_hat, s)
-        max_norm_residual = max(max_norm_residual, res.norm_residual)
-        max_equation_residual = max(max_equation_residual, max(res.equation_residuals))
-        for i in range(3):
-            if xi_hat[i] == 0.0:
-                shrinkage_ok &= res.xi_star[i] == 0.0
-            else:
-                shrinkage_ok &= math.copysign(1.0, res.xi_star[i]) == math.copysign(1.0, xi_hat[i])
-                shrinkage_ok &= abs(res.xi_star[i]) < abs(xi_hat[i])
-    return {
-        "max_norm_residual": max_norm_residual,
-        "max_equation_residual": max_equation_residual,
-        "shrinkage_ok": shrinkage_ok,
-    }
+        yield xi_hat, project_mle(xi_hat, random_weights(rng))
+
+
+def projection_residual_battery(seed=0) -> float:
+    """Worst norm or equation residual of the projections."""
+    return max(max(res.norm_residual, *res.equation_residuals) for _, res in _exterior_projections(seed))
+
+
+def shrinkage_ok(seed=0) -> bool:
+    """Each projected component keeps its input's sign and is smaller in
+    magnitude; a zero component stays zero."""
+    for xi_hat, res in _exterior_projections(seed):
+        for a, x in zip(xi_hat, res.xi_star):
+            if a == 0.0:
+                if x != 0.0:
+                    return False
+            elif math.copysign(1.0, x) != math.copysign(1.0, a) or not abs(x) < abs(a):
+                return False
+    return True
 
 
 def projection_orthogonality_defect(seed=0) -> float:
@@ -256,25 +261,25 @@ def equivariance_defect(seed=0) -> float:
     return worst
 
 
-def cubic_grid_residuals() -> dict:
-    """Back-substitution residuals of the closed form on a 25 x 41 log x
-    linear grid, mu in [1e-6, 1e6] and a in [-1, 1].
+def cubic_grid_residuals(seed=0) -> float:
+    """Worst back-substitution residual of the closed form on a 25 x 41 log x
+    linear grid, mu in [1e-6, 1e6] and a in [-1, 1]: absolute where
+    mu <= 1e4, divided by 1 + mu above.
 
     The raw residual scales with the equation itself (|f'| ~ 1 + mu), and
     for mu beyond ~1e4 even the correctly rounded root exceeds 1e-12 in
-    absolute terms, so the scale-normalized residual carries the contract;
-    the absolute residual is reported for the moderate-mu region.
+    absolute terms, so the scale-normalized residual carries the contract
+    there; below, the absolute one is at least as large.  The grid is fixed:
+    ``seed`` is unused, and there so that ``run_gates`` calls every battery
+    alike.
     """
-    max_scaled = 0.0
-    max_abs_moderate = 0.0
+    worst = 0.0
     for mu in np.logspace(-6.0, 6.0, 25):
         for a in np.linspace(-1.0, 1.0, 41):
             x = cubic_solve(float(mu), float(a))
             residual = abs(x * (1.0 - x * x) - mu * (a - x))
-            max_scaled = max(max_scaled, residual / (1.0 + mu))
-            if mu <= 1e4:
-                max_abs_moderate = max(max_abs_moderate, residual)
-    return {"max_scaled": max_scaled, "max_abs_moderate": max_abs_moderate}
+            worst = max(worst, residual if mu <= 1e4 else residual / (1.0 + mu))
+    return worst
 
 
 def lambda_monotonicity_ok(seed=0) -> bool:
@@ -325,6 +330,13 @@ def weight_lln_defect(seed=0) -> float:
     return worst
 
 
+def pure_state_ok(seed=0) -> bool:
+    """The pure state along axis 1, measured 1000 times per axis, never
+    gives the minus outcome on that axis."""
+    pure = simulate(SimulationSpec(xi_true=(1.0, 0.0, 0.0), mode="standard", n_shots=1000, seed=seed))
+    return pure.n_minus[0] == 0
+
+
 def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, base_seed=0) -> dict:
     """Estimation error versus shot count under randomized sampling of
     ``CONSISTENCY_STATE`` with ``EQUAL_WEIGHTS``.
@@ -361,6 +373,12 @@ def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, bas
         "rmse_slope": float(np.polyfit(log_n, np.log(rmse), 1)[0]),
         "median_slope": float(np.polyfit(log_n, np.log(med), 1)[0]),
     }
+
+
+def median_slope_defect(seed=0) -> float:
+    """|median-error slope + 1/2| of ``consistency_errors`` at its default
+    size."""
+    return abs(consistency_errors(base_seed=seed)["median_slope"] + 0.5)
 
 
 # --- timing battery ----------------------------------------------------------
@@ -431,87 +449,43 @@ def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
     )
 
 
-# --- suites -----------------------------------------------------------------
+# --- the gate table -----------------------------------------------------------
 
-def _defect_outcome(name: str, defect: float, bound: float) -> CheckOutcome:
-    return CheckOutcome(name, defect < bound, f"defect {defect:.3e}")
+# (suite, check name, battery, bound): a row passes when battery(seed) < bound,
+# or, for a yes/no property with no bound, when battery(seed) is true
+GATES = (
+    ("infogeo", "kl nonnegativity, zero only at equality", gibbs_defect, 1e-12),
+    ("infogeo", "potential divergence equals outcome KL", canonical_kl_defect, 1e-10),
+    ("infogeo", "per-axis decomposition of 6-outcome KL", marginal_decomposition_defect, 1e-12),
+    ("infogeo", "divergence additivity across foliation", pythagorean_defect, 1e-10),
+    ("infogeo", "analytic vs expectation Fisher matrix", fisher_agreement_defect, 1e-8),
+    ("infogeo", "eta is the theta-gradient of psi", legendre_defect, 1e-6),
+    ("infogeo", "weight/state slices meet orthogonally", foliation_defect, 1e-8),
+    ("projector", "projection residuals on 1000 exterior points", projection_residual_battery, 1e-10),
+    ("projector", "componentwise shrinkage with preserved signs", shrinkage_ok, None),
+    ("projector", "correction step is metric-normal to sphere", projection_orthogonality_defect, 1e-8),
+    ("projector", "no sphere point beats the estimate in KL", projection_optimality_defect, 1e-12),
+    ("projector", "permutation and sign equivariance", equivariance_defect, 1e-12),
+    ("projector", "cubic closed form back-substitution residuals", cubic_grid_residuals, 1e-12),
+    ("projector", "norm residual monotone in the multiplier", lambda_monotonicity_ok, None),
+    ("simulator", "identical specs give identical counts", reproducibility_ok, None),
+    ("simulator", "axis fractions within 5 sigma of weights", weight_lln_defect, 1.0),
+    ("simulator", "pure state never yields the forbidden outcome", pure_state_ok, None),
+    # the slope within 0.15 of -1/2, boundary included
+    ("simulator", "median error scales like 1/sqrt(N)", median_slope_defect, math.nextafter(0.15, math.inf)),
+)
 
-
-def infogeo_suite(seed=0) -> list[CheckOutcome]:
-    return [
-        _defect_outcome("kl nonnegativity, zero only at equality", gibbs_defect(seed), 1e-12),
-        _defect_outcome("potential divergence equals outcome KL", canonical_kl_defect(seed), 1e-10),
-        _defect_outcome("per-axis decomposition of 6-outcome KL", marginal_decomposition_defect(seed), 1e-12),
-        _defect_outcome("divergence additivity across foliation", pythagorean_defect(seed), 1e-10),
-        _defect_outcome("analytic vs expectation Fisher matrix", fisher_agreement_defect(seed), 1e-8),
-        _defect_outcome("eta is the theta-gradient of psi", legendre_defect(seed), 1e-6),
-        _defect_outcome("weight/state slices meet orthogonally", foliation_defect(seed), 1e-8),
-    ]
-
-
-def projector_suite(seed=0) -> list[CheckOutcome]:
-    out = []
-
-    battery = projection_residual_battery(seed)
-    out.append(
-        CheckOutcome(
-            "projection residuals on 1000 exterior points",
-            battery["max_norm_residual"] < 1e-10 and battery["max_equation_residual"] < 1e-10,
-            f"norm {battery['max_norm_residual']:.3e}, equations {battery['max_equation_residual']:.3e}",
-        )
-    )
-    out.append(CheckOutcome("componentwise shrinkage with preserved signs", battery["shrinkage_ok"], ""))
-
-    out.append(
-        _defect_outcome("correction step is metric-normal to sphere", projection_orthogonality_defect(seed), 1e-8)
-    )
-    out.append(
-        _defect_outcome("no sphere point beats the estimate in KL", projection_optimality_defect(seed), 1e-12)
-    )
-    out.append(_defect_outcome("permutation and sign equivariance", equivariance_defect(seed), 1e-12))
-
-    grid = cubic_grid_residuals()
-    out.append(
-        CheckOutcome(
-            "cubic closed form back-substitution residuals",
-            grid["max_scaled"] < 1e-12 and grid["max_abs_moderate"] < 1e-12,
-            f"scaled {grid['max_scaled']:.3e}, absolute(mu<=1e4) {grid['max_abs_moderate']:.3e}",
-        )
-    )
-
-    ok = lambda_monotonicity_ok(seed)
-    out.append(CheckOutcome("norm residual monotone in the multiplier", ok, ""))
-
-    return out
+SUITES = tuple(dict.fromkeys(suite for suite, _, _, _ in GATES))
 
 
-def simulator_suite(seed=0) -> list[CheckOutcome]:
-    out = []
-
-    out.append(CheckOutcome("identical specs give identical counts", reproducibility_ok(seed), ""))
-
-    defect = weight_lln_defect(seed)
-    out.append(CheckOutcome("axis fractions within 5 sigma of weights", defect < 1.0, f"{defect:.2f} of band"))
-
-    pure = simulate(SimulationSpec(xi_true=(1.0, 0.0, 0.0), mode="standard", n_shots=1000, seed=seed))
-    out.append(CheckOutcome("pure state never yields the forbidden outcome", pure.n_minus[0] == 0, ""))
-
-    sweep = consistency_errors(base_seed=seed)
-    slope = sweep["median_slope"]
-    out.append(
-        CheckOutcome(
-            "median error scales like 1/sqrt(N)",
-            abs(slope + 0.5) <= 0.15,
-            f"log-log slope {slope:.3f}",
-        )
-    )
-
-    return out
-
-
-SUITES = {
-    "infogeo": infogeo_suite,
-    "projector": projector_suite,
-    "simulator": simulator_suite,
-}
-
+def run_gates(suites, seed=0) -> list[CheckOutcome]:
+    """The outcomes of the rows of ``suites``, in table order."""
+    outcomes = []
+    for suite, name, battery, bound in GATES:
+        if suite in suites:
+            value = battery(seed)
+            if bound is None:
+                outcomes.append(CheckOutcome(name, bool(value), ""))
+            else:
+                outcomes.append(CheckOutcome(name, value < bound, f"defect {value:.3e}"))
+    return outcomes

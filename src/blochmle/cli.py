@@ -3,13 +3,16 @@
 Subcommands: ``estimate`` (counts file -> JSON report), ``simulate``
 (synthetic counts file), ``bench`` (projection vs direct-search timing),
 ``trajectories`` (plot-ready projection curves), ``sweep`` (estimation
-error versus shot count), ``check`` (seeded invariant suites).  Exit
+error versus shot count), ``check`` (the rows of ``checks.GATES``).  Exit
 codes: 0 success, 1 failed invariant, 2 bad input, 3 internal numerical
-failure.  A rule on an argument that a library function already enforces
-is left to that function; its ``InvalidInputError`` exits 2.
+failure or, in ``bench`` and ``estimate --oracle``, a projector and direct
+search that disagree.  A rule on an argument that a library function
+already enforces is left to that function; its ``InvalidInputError`` exits
+2.
 
 The modules that need numpy (simulator, checks) are imported inside
-the subcommands that use them, so an ``estimate`` process never loads it;
+the subcommands that use them, so an ``estimate`` process without
+``--oracle`` never loads it;
 the package's records are namedtuples, so it loads neither ``dataclasses``
 nor ``typing`` either.
 """
@@ -38,8 +41,8 @@ EXIT_SOLVER = 3
 
 PLANES = {"xi1xi2": (0, 1, 2), "xi1xi3": (0, 2, 1), "xi2xi3": (1, 2, 0)}
 
-# The keys of checks.SUITES, named here so that parsing ``check --suite``
-# does not import checks (and numpy).
+# The suites of checks.GATES in table order, named here so that parsing
+# ``check --suite`` does not import checks (and numpy).
 SUITE_NAMES = ("infogeo", "projector", "simulator")
 
 
@@ -99,10 +102,25 @@ def _parse_weights(text: str, flag: str) -> tuple[float, float, float]:
     return weight_vector([r / total for r in ratios])
 
 
+def _methods_agree(max_discrepancy: float) -> bool:
+    """The rule of ``bench`` and ``estimate --oracle``: the projector and
+    the direct search agree when the max-norm gap between their answers is
+    below ``checks.DISCREPANCY_TOL``.  A disagreement is also written to
+    stderr."""
+    from .checks import DISCREPANCY_TOL  # noqa: PLC0415 - see the module docstring
+
+    if max_discrepancy < DISCREPANCY_TOL:
+        return True
+    print("methods disagree beyond 1e-4", file=sys.stderr)
+    return False
+
+
 def _cmd_estimate(args) -> int:
     counts = parse_counts(_read_input(args.infile))
     report = build_estimate_report(counts, with_oracle=args.oracle)
     _write_output(args.out, report_to_json(report))
+    if args.oracle and not _methods_agree(report["oracle"]["max_discrepancy"]):
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -124,7 +142,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .checks import DISCREPANCY_TOL, run_benchmark  # noqa: PLC0415 - see the module docstring
+    from .checks import run_benchmark  # noqa: PLC0415 - see the module docstring
 
     result = run_benchmark(args.trials, args.seed)
     rows = ([r.index, f"{r.projection_ms:.6f}", f"{r.oracle_ms:.6f}", f"{r.discrepancy:.3e}"] for r in result.trials)
@@ -135,10 +153,7 @@ def _cmd_bench(args) -> int:
         f"speedup {result.speedup:.1f}x, max discrepancy {result.max_discrepancy:.3e}",
         file=sys.stderr,
     )
-    if result.max_discrepancy > DISCREPANCY_TOL:
-        print(f"methods disagree beyond {DISCREPANCY_TOL}", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    return EXIT_OK if _methods_agree(result.max_discrepancy) else EXIT_SOLVER
 
 
 def _cmd_trajectories(args) -> int:
@@ -181,10 +196,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .checks import SUITES  # noqa: PLC0415 - see the module docstring
+    from .checks import run_gates  # noqa: PLC0415 - see the module docstring
 
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    outcomes = [outcome for name in names for outcome in SUITES[name](args.seed)]
+    outcomes = run_gates(SUITE_NAMES if args.suite == "all" else (args.suite,), args.seed)
     for outcome in outcomes:
         status = "PASS" if outcome.passed else "FAIL"
         detail = f" ({outcome.detail})" if outcome.detail else ""

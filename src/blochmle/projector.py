@@ -323,13 +323,13 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
     return ProjectionResult(tuple(x), True, lam, abs(norm_squared(x) - 1.0), tuple(residuals), evaluations)
 
 
-def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int):
+def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int) -> tuple:
     """Solution curve lam -> x(lam * s_i, xihat_i), sampled from the origin
-    (lam = 0) to the projected point (lam = lam*).  A numpy array of shape
-    (n_samples, 3).  The roots come from ``_evaluate``, the kernel of the
-    lam solve, so a lam * s_i that underflows gives the root 0."""
-    import numpy as np  # noqa: PLC0415 - only trajectories need arrays
-
+    (lam = 0) to the projected point (lam = lam*): a tuple of ``n_samples``
+    3-tuples of floats.  Sample k is at lam = k * (lam* / (n_samples - 1))
+    and the last at lam* itself, as ``numpy.linspace`` places them.  The
+    roots come from ``_evaluate``, the kernel of the lam solve, so a
+    lam * s_i that underflows gives the root 0."""
     xi_hat = stokes_vector(xi_hat)
     s = weight_vector(s)
     lam_star = project_mle(xi_hat, s).lambda_star
@@ -337,7 +337,6 @@ def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int)
         raise InvalidInputError("trajectories are only defined for points outside the unit ball")
     if n_samples < 2:
         raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
-    points = np.zeros((n_samples, 3))
-    for k, lam in enumerate(np.linspace(0.0, lam_star, n_samples)[1:].tolist(), start=1):
-        points[k] = _evaluate(lam, s, xi_hat)[4]
-    return points
+    step = lam_star / (n_samples - 1)
+    lams = [k * step for k in range(n_samples - 1)] + [lam_star]
+    return tuple(tuple(_evaluate(lam, s, xi_hat)[4]) for lam in lams)

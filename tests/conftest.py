@@ -21,3 +21,17 @@ def check_calls(monkeypatch):
         return calls
 
     return wrap
+
+
+@pytest.fixture
+def gate_bound():
+    """``gate_bound(battery)`` is the bound of the one ``checks.GATES`` row
+    that runs ``battery``: a test of a battery compares against its gate's
+    bound instead of writing it again."""
+    from blochmle.checks import GATES
+
+    def bound(battery):
+        (value,) = [row_bound for _, _, row_battery, row_bound in GATES if row_battery is battery]
+        return value
+
+    return bound

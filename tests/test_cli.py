@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blochmle import checks
 from blochmle import io as bio
-from blochmle.checks import SUITES, run_benchmark
+from blochmle.checks import GATES, SUITES, BenchResult, BenchTrial, run_benchmark
 from blochmle.cli import SUITE_NAMES, build_parser, main
 from blochmle.core import CountRecord, InvalidInputError
 from blochmle.io import (
@@ -316,6 +317,18 @@ class TestCliEstimate:
         report = json.loads(capsys.readouterr().out)
         assert report["oracle"]["max_discrepancy"] < 1e-4
 
+    def test_oracle_disagreement_exit_3(self, tmp_path, capsys):
+        # weights about (5e-301, 5e-301, 1): the direct search cannot leave
+        # the origin along the two light axes, 0.707 from the projector's
+        # answer (ROADMAP Known defects); this used to exit 0
+        path = tmp_path / "counts.csv"
+        path.write_text(counts_to_csv(CountRecord((1, 1, 10**300), (0, 0, 10**300))))
+        assert main(["estimate", "--in", str(path), "--oracle"]) == 3
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["oracle"] == {"xi": [0.0, 0.0, 0.0], "max_discrepancy": 0.7071067811865474}
+        assert captured.err == "methods disagree beyond 1e-4\n"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_oracle_flag_at_a_pole(self, tmp_path, capsys):
         # 2^60 plus-counts on axis 1 and none minus: the answer's x_1 rounds
@@ -465,6 +478,17 @@ class TestCliBench:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
         assert all(float(r[3]) < 1e-4 for r in rows)
 
+    def test_discrepancy_at_the_tolerance_exit_3(self, monkeypatch, capsys):
+        # the methods agree only below DISCREPANCY_TOL; a gap of exactly 1e-4
+        # used to pass
+        trial = BenchTrial(0, 0.1, 20.0, 1e-4)
+        result = BenchResult([trial], 0.1, 0.1, 20.0, 20.0, 1e-4)
+        monkeypatch.setattr(checks, "run_benchmark", lambda trials, seed: result)
+        assert main(["bench", "--trials", "1"]) == 3
+        captured = capsys.readouterr()
+        assert len(list(csv.reader(io.StringIO(captured.out)))) == 2
+        assert captured.err.endswith("max discrepancy 1.000e-04\nmethods disagree beyond 1e-4\n")
+
     def test_bad_trials_exit_2(self):
         assert main(["bench", "--trials", "0"]) == 2
 
@@ -555,3 +579,53 @@ class TestCliCheck:
         parser = build_parser()
         for name in SUITES:
             assert parser.parse_args(["check", "--suite", name]).suite == name
+
+    def test_gate_table_is_pinned(self):
+        # every gate's suite, name and bound, in order: an edit to a bound
+        # shows here
+        assert [(suite, name, bound) for suite, name, _, bound in GATES] == [
+            ("infogeo", "kl nonnegativity, zero only at equality", 1e-12),
+            ("infogeo", "potential divergence equals outcome KL", 1e-10),
+            ("infogeo", "per-axis decomposition of 6-outcome KL", 1e-12),
+            ("infogeo", "divergence additivity across foliation", 1e-10),
+            ("infogeo", "analytic vs expectation Fisher matrix", 1e-8),
+            ("infogeo", "eta is the theta-gradient of psi", 1e-6),
+            ("infogeo", "weight/state slices meet orthogonally", 1e-8),
+            ("projector", "projection residuals on 1000 exterior points", 1e-10),
+            ("projector", "componentwise shrinkage with preserved signs", None),
+            ("projector", "correction step is metric-normal to sphere", 1e-8),
+            ("projector", "no sphere point beats the estimate in KL", 1e-12),
+            ("projector", "permutation and sign equivariance", 1e-12),
+            ("projector", "cubic closed form back-substitution residuals", 1e-12),
+            ("projector", "norm residual monotone in the multiplier", None),
+            ("simulator", "identical specs give identical counts", None),
+            ("simulator", "axis fractions within 5 sigma of weights", 1.0),
+            ("simulator", "pure state never yields the forbidden outcome", None),
+            # |slope + 1/2| <= 0.15 under the loop's single <
+            ("simulator", "median error scales like 1/sqrt(N)", math.nextafter(0.15, math.inf)),
+        ]
+        assert SUITE_NAMES == tuple(dict.fromkeys(suite for suite, _, _, _ in GATES)) == SUITES
+
+    @pytest.mark.parametrize(
+        "name, fake, line",
+        [
+            (
+                "foliation_orthogonality_defect",
+                lambda s, xi: 1.0,
+                "FAIL weight/state slices meet orthogonally (defect 1.000e+00)",
+            ),
+            (
+                "consistency_errors",
+                lambda base_seed: {"median_slope": math.nan},
+                "FAIL median error scales like 1/sqrt(N) (defect nan)",
+            ),
+        ],
+        ids=["over_bound", "nan"],
+    )
+    def test_a_failed_gate_exit_1(self, name, fake, line, monkeypatch, capsys):
+        # the table holds the batteries themselves, so the fake replaces a
+        # function that a battery calls through the checks module
+        monkeypatch.setattr(checks, name, fake)
+        assert main(["check", "--suite", "all", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [entry for entry in lines if not entry.startswith("PASS ")] == [line, "17/18 checks passed"]

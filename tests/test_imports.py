@@ -1,5 +1,6 @@
 """The estimate path runs without numpy, the oracle, ``dataclasses`` or
-``typing``: fresh interpreters, checked through ``sys.modules``; and the
+``typing``, and a projection trajectory without numpy: fresh interpreters,
+checked through ``sys.modules``; and the
 contract of the package's records, which are namedtuples so that they cost
 no import."""
 
@@ -80,6 +81,16 @@ def test_estimate_import_budget(to_text):
     done = fresh_python(BUDGET, stdin=to_text(PROJECTED), flags=("-S",))
     assert json.loads(done.stdout)["was_projected"]
     assert done.stderr.split() == ["0"]
+
+
+def test_trajectory_leaves_numpy_unloaded():
+    done = fresh_python(
+        "import sys\n"
+        "from blochmle.projector import projection_trajectory\n"
+        "curve = projection_trajectory((0.9, 0.9, 0.0), (1 / 3, 1 / 3, 1 / 3), 8)\n"
+        "print(len(curve), type(curve[-1][0]).__name__, 'numpy' in sys.modules)"
+    )
+    assert done.stdout.split() == ["8", "float", "False"]
 
 
 def test_import_leaves_numpy_unloaded():

@@ -187,9 +187,9 @@ class TestDualCoordinates:
         assert abs(legendre) < 1e-10
         np.testing.assert_allclose(2.0 * coords.eta - 1.0, xi, atol=1e-12)
 
-    def test_eta_is_gradient_of_psi(self, check_calls):
+    def test_eta_is_gradient_of_psi(self, check_calls, gate_bound):
         points = check_calls("dual_coordinates")
-        assert legendre_defect(seed=3) < 1e-6
+        assert legendre_defect(seed=3) < gate_bound(legendre_defect)
         assert len(points) == 100
 
 
@@ -219,8 +219,8 @@ class TestFisherMetric:
         assert g[0, 0] == pytest.approx((1 / 3) / 0.64, abs=1e-15)
         assert g[0, 1] == 0.0 and g[1, 2] == 0.0
 
-    def test_matches_score_expectation(self):
-        assert fisher_agreement_defect(seed=5) < 1e-8
+    def test_matches_score_expectation(self, gate_bound):
+        assert fisher_agreement_defect(seed=5) < gate_bound(fisher_agreement_defect)
 
 
 def foliation_coordinates(s, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +273,8 @@ class TestFoliation:
             < 1e-8
         )
 
-    def test_orthogonality_battery(self):
-        assert foliation_defect(seed=7) < 1e-8
+    def test_orthogonality_battery(self, gate_bound):
+        assert foliation_defect(seed=7) < gate_bound(foliation_defect)
 
     @pytest.mark.parametrize(
         "s, xi",
@@ -290,13 +290,13 @@ class TestFoliation:
 
 
 class TestDivergenceIdentities:
-    def test_marginal_decomposition(self, check_calls):
+    def test_marginal_decomposition(self, check_calls, gate_bound):
         pairs = check_calls("empirical_kl")
-        assert marginal_decomposition_defect(seed=11) < 1e-12
+        assert marginal_decomposition_defect(seed=11) < gate_bound(marginal_decomposition_defect)
         assert len(pairs) == 100
 
-    def test_additivity_across_foliation(self):
-        assert pythagorean_defect(seed=13) < 1e-10
+    def test_additivity_across_foliation(self, gate_bound):
+        assert pythagorean_defect(seed=13) < gate_bound(pythagorean_defect)
 
     def test_empirical_kl_boundary_safe(self):
         # empirical component at +1: the vanishing term drops out
