@@ -2,16 +2,19 @@
 subcommand, the timing battery behind ``bench``, and the error-versus-N
 sweep (``consistency_errors``) behind ``sweep``.
 
-Each battery fixes its own size, takes only a seed, and returns its worst
-defect, or whether a yes/no property held.  ``GATES`` holds one row per
-check: its suite, its name, its battery and its bound, written only there;
-``run_gates`` runs the rows of the chosen suites.  The ``check`` command,
-the tests and the acceptance criteria all run each battery at its size and
-read its bound from its row.
+Each battery fixes its own size and takes only a seed.  A numeric battery
+yields one defect per instance it checks, and its gate compares their
+maximum, NaN if any of them is NaN, so a NaN defect fails its gate; a
+yes/no battery returns whether its property held.  ``GATES`` holds one row
+per check: its suite, its name, its battery and its bound, written only
+there; ``run_gates`` runs the rows of the chosen suites.  The ``check``
+command, the tests and the acceptance criteria all run each battery at its
+size and read its bound from its row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import namedtuple
@@ -50,6 +53,22 @@ class CheckOutcome(namedtuple("CheckOutcome", ["name", "passed", "detail"])):
     __slots__ = ()
 
 
+def _worst(defects) -> float:
+    """The largest of ``defects``, or NaN if any of them is NaN."""
+    defects = list(defects)
+    return math.nan if any(math.isnan(d) for d in defects) else max(defects)
+
+
+def _battery(defects):
+    """A battery that yields its defects, as one that returns their worst."""
+
+    @functools.wraps(defects)
+    def battery(seed=0) -> float:
+        return _worst(defects(seed))
+
+    return battery
+
+
 # --- samplers -------------------------------------------------------------
 
 def interior_point(rng, k=3, bound=0.99):
@@ -75,98 +94,87 @@ def sphere_point(rng):
 
 # --- distribution-geometry batteries --------------------------------------
 
-def gibbs_defect(seed=0) -> float:
+@_battery
+def gibbs_defect(seed=0):
     """Worst violation of kl >= 0 (equality only at p = q)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(200):
         size = int(rng.integers(2, 7))
         p = rng.random(size) + 0.05
         q = rng.random(size) + 0.05
         p, q = p / p.sum(), q / q.sum()
-        worst = max(worst, -kl_divergence(p, q))
-        worst = max(worst, abs(kl_divergence(p, p)))
-    return worst
+        yield -kl_divergence(p, q)
+        yield abs(kl_divergence(p, p))
 
 
-def canonical_kl_defect(seed=0) -> float:
+@_battery
+def canonical_kl_defect(seed=0):
     """Max |potential-based divergence - outcome-sum KL| over k in {1,2,3}."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for k in (1, 2, 3):
         for _ in range(1000):
             p_xi = interior_point(rng, k)
             q_xi = interior_point(rng, k)
             direct = kl_divergence(product_distribution(p_xi), product_distribution(q_xi))
-            worst = max(worst, abs(canonical_divergence(p_xi, q_xi) - direct))
-    return worst
+            yield abs(canonical_divergence(p_xi, q_xi) - direct)
 
 
-def marginal_decomposition_defect(seed=0) -> float:
+@_battery
+def marginal_decomposition_defect(seed=0):
     """6-outcome KL at shared weights vs the weighted sum of binary KLs."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(100):
         s = random_weights(rng)
         xi_p = interior_point(rng)
         xi_q = interior_point(rng)
         whole = kl_divergence(randomized_distribution(s, xi_p), randomized_distribution(s, xi_q))
         split = empirical_kl(xi_p, s, xi_q)
-        worst = max(worst, abs(whole - split))
-    return worst
+        yield abs(whole - split)
 
 
-def pythagorean_defect(seed=0) -> float:
+@_battery
+def pythagorean_defect(seed=0):
     """Additivity D(p_hat||p) = D(p_hat||mid) + D(mid||p) across the
     weight/state foliation, for random weights and states on both sides."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(100):
         s_hat, s = random_weights(rng), random_weights(rng)
         xi_hat, xi = interior_point(rng), interior_point(rng)
         top = randomized_distribution(s_hat, xi_hat)
         mid = randomized_distribution(s_hat, xi)
         bot = randomized_distribution(s, xi)
-        worst = max(worst, abs(kl_divergence(top, bot) - kl_divergence(top, mid) - kl_divergence(mid, bot)))
-    return worst
+        yield abs(kl_divergence(top, bot) - kl_divergence(top, mid) - kl_divergence(mid, bot))
 
 
-def fisher_agreement_defect(seed=0) -> float:
+@_battery
+def fisher_agreement_defect(seed=0):
     """Entrywise gap between the analytic metric and the score-covariance
     expectation computed from the 6-outcome model by central differences."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(100):
         s = random_weights(rng)
         xi = interior_point(rng, bound=0.95)
-        gap = np.abs(fisher_metric(xi, s) - _numeric_fisher_matrix(s, xi)[:3, :3])
-        worst = max(worst, float(gap.max()))
-    return worst
+        yield from np.abs(fisher_metric(xi, s) - _numeric_fisher_matrix(s, xi)[:3, :3]).ravel().tolist()
 
 
-def legendre_defect(seed=0) -> float:
+@_battery
+def legendre_defect(seed=0):
     """|eta_i - d psi / d theta_i| by central differences."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(100):
         coords = dual_coordinates(interior_point(rng))
         for i in range(3):
             e = np.zeros(3)
             e[i] = _DIFFERENCE_STEP
             grad = (_log_partition(coords.theta + e) - _log_partition(coords.theta - e)) / (2.0 * _DIFFERENCE_STEP)
-            worst = max(worst, abs(grad - coords.eta[i]))
-    return worst
+            yield abs(grad - coords.eta[i])
 
 
-def foliation_defect(seed=0) -> float:
+@_battery
+def foliation_defect(seed=0):
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(100):
-        worst = max(
-            worst,
-            foliation_orthogonality_defect(random_weights(rng), interior_point(rng, bound=0.95)),
-        )
-    return worst
+        yield foliation_orthogonality_defect(random_weights(rng), interior_point(rng, bound=0.95))
 
 
 # --- projector batteries ---------------------------------------------------
@@ -180,9 +188,12 @@ def _exterior_projections(seed):
         yield xi_hat, project_mle(xi_hat, random_weights(rng))
 
 
-def projection_residual_battery(seed=0) -> float:
+@_battery
+def projection_residual_battery(seed=0):
     """Worst norm or equation residual of the projections."""
-    return max(max(res.norm_residual, *res.equation_residuals) for _, res in _exterior_projections(seed))
+    for _, res in _exterior_projections(seed):
+        yield res.norm_residual
+        yield from res.equation_residuals
 
 
 def shrinkage_ok(seed=0) -> bool:
@@ -198,11 +209,11 @@ def shrinkage_ok(seed=0) -> bool:
     return True
 
 
-def projection_orthogonality_defect(seed=0) -> float:
+@_battery
+def projection_orthogonality_defect(seed=0):
     """Fisher-metric angle between the correction step and the sphere's
     tangent plane at the projected point; excludes metric-singular axes."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     checked = 0
     while checked < 200:
         xi_hat = exterior_point(rng)
@@ -221,15 +232,14 @@ def projection_orthogonality_defect(seed=0) -> float:
         v = xi_hat - x
         g = np.diag(fisher_metric(x, s))
         for t in (t1, t2):
-            worst = max(worst, abs(float(np.sum(v * g * t))))
-    return worst
+            yield abs(float(np.sum(v * g * t)))
 
 
-def projection_optimality_defect(seed=0) -> float:
+@_battery
+def projection_optimality_defect(seed=0):
     """How much a random sphere point ever beats the projected estimate in
     empirical KL (positive would contradict global optimality)."""
     rng = np.random.default_rng(seed)
-    worst = -math.inf
     for _ in range(20):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
@@ -238,14 +248,13 @@ def projection_optimality_defect(seed=0) -> float:
         for _ in range(200):
             r = sphere_point(rng)
             rival = kl_divergence(randomized_distribution(s, xi_hat), randomized_distribution(s, r))
-            worst = max(worst, base - rival)
-    return worst
+            yield base - rival
 
 
-def equivariance_defect(seed=0) -> float:
+@_battery
+def equivariance_defect(seed=0):
     """Axis permutations permute the answer; sign flips flip it."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(100):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
@@ -253,15 +262,15 @@ def equivariance_defect(seed=0) -> float:
 
         perm = rng.permutation(3)
         x_perm = project_mle(xi_hat[perm], s[perm]).xi_star
-        worst = max(worst, float(np.max(np.abs(x_perm - x[perm]))))
+        yield from np.abs(x_perm - x[perm]).tolist()
 
         flip = np.where(rng.random(3) < 0.5, -1.0, 1.0)
         x_flip = project_mle(xi_hat * flip, s).xi_star
-        worst = max(worst, float(np.max(np.abs(x_flip - x * flip))))
-    return worst
+        yield from np.abs(x_flip - x * flip).tolist()
 
 
-def cubic_grid_residuals(seed=0) -> float:
+@_battery
+def cubic_grid_residuals(seed=0):
     """Worst back-substitution residual of the closed form on a 25 x 41 log x
     linear grid, mu in [1e-6, 1e6] and a in [-1, 1]: absolute where
     mu <= 1e4, divided by 1 + mu above.
@@ -273,13 +282,11 @@ def cubic_grid_residuals(seed=0) -> float:
     ``seed`` is unused, and there so that ``run_gates`` calls every battery
     alike.
     """
-    worst = 0.0
     for mu in np.logspace(-6.0, 6.0, 25):
         for a in np.linspace(-1.0, 1.0, 41):
             x = cubic_solve(float(mu), float(a))
             residual = abs(x * (1.0 - x * x) - mu * (a - x))
-            worst = max(worst, residual if mu <= 1e4 else residual / (1.0 + mu))
-    return worst
+            yield residual if mu <= 1e4 else residual / (1.0 + mu)
 
 
 def lambda_monotonicity_ok(seed=0) -> bool:
@@ -316,18 +323,17 @@ def reproducibility_ok(seed=0) -> bool:
     return all(simulate(spec) == simulate(spec) for spec in specs)
 
 
-def weight_lln_defect(seed=0) -> float:
+@_battery
+def weight_lln_defect(seed=0):
     """Max deviation of realized axis fractions from their targets, in
     units of the 5-sigma multinomial band."""
     s = EQUAL_WEIGHTS
     n_shots = 300000
     spec = SimulationSpec(xi_true=(0.2, 0.1, -0.3), mode="randomized", n_shots=n_shots, weights=s, seed=seed)
     counts = simulate(spec)
-    worst = 0.0
     for i in range(3):
         band = 5.0 * math.sqrt(s[i] * (1.0 - s[i]) / n_shots)
-        worst = max(worst, abs(counts.axis_totals[i] / n_shots - s[i]) / band)
-    return worst
+        yield abs(counts.axis_totals[i] / n_shots - s[i]) / band
 
 
 def pure_state_ok(seed=0) -> bool:
@@ -434,7 +440,7 @@ def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
         direct = oracle_mle(xi_hat, weights)
         t2 = time.perf_counter()
 
-        discrepancy = float(np.max(np.abs(np.asarray(projected.xi_star) - direct)))
+        discrepancy = float(_worst(abs(x - d) for x, d in zip(projected.xi_star, direct)))
         rows.append(BenchTrial(index, (t1 - t0) * 1e3, (t2 - t1) * 1e3, discrepancy))
 
     proj = np.array([r.projection_ms for r in rows])
@@ -445,7 +451,7 @@ def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
         projection_median_ms=float(np.median(proj)),
         oracle_mean_ms=float(orac.mean()),
         oracle_median_ms=float(np.median(orac)),
-        max_discrepancy=max(r.discrepancy for r in rows),
+        max_discrepancy=_worst(r.discrepancy for r in rows),
     )
 
 
@@ -474,9 +480,6 @@ GATES = (
     # the slope within 0.15 of -1/2, boundary included
     ("simulator", "median error scales like 1/sqrt(N)", median_slope_defect, math.nextafter(0.15, math.inf)),
 )
-
-SUITES = tuple(dict.fromkeys(suite for suite, _, _, _ in GATES))
-
 
 def run_gates(suites, seed=0) -> list[CheckOutcome]:
     """The outcomes of the rows of ``suites``, in table order."""

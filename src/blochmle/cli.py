@@ -11,8 +11,8 @@ already enforces is left to that function; its ``InvalidInputError`` exits
 2.
 
 The modules that need numpy (simulator, checks) are imported inside
-the subcommands that use them, so an ``estimate`` process without
-``--oracle`` never loads it;
+the subcommands that use them, so neither ``trajectories`` nor an
+``estimate`` process without ``--oracle`` ever loads it;
 the package's records are namedtuples, so it loads neither ``dataclasses``
 nor ``typing`` either.
 """
@@ -157,20 +157,23 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
-    import numpy as np  # noqa: PLC0415 - see the module docstring
-
     if args.grid < 1:
         raise InvalidInputError(f"--grid must be >= 1, got {args.grid}")
     weights = _parse_weights(args.s, "--s")
     u_axis, v_axis, _ = PLANES[args.plane]
+    # the points numpy.linspace(-1, 1, grid) places: k * step - 1, and 1 last
+    lattice = [-1.0]
+    if args.grid > 1:
+        step = 2.0 / (args.grid - 1)
+        lattice = [k * step - 1.0 for k in range(args.grid - 1)] + [1.0]
 
     # projection_trajectory refuses --samples below 2 at the first start
     # point, (-1, -1), which is always outside the ball
     rows = []
     trajectory_id = 0
-    for u in np.linspace(-1.0, 1.0, args.grid):
-        for v in np.linspace(-1.0, 1.0, args.grid):
-            start = np.zeros(3)
+    for u in lattice:
+        for v in lattice:
+            start = [0.0, 0.0, 0.0]
             start[u_axis], start[v_axis] = u, v
             if norm_squared(start) <= 1.0:
                 continue

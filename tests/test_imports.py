@@ -1,6 +1,7 @@
 """The estimate path runs without numpy, the oracle, ``dataclasses`` or
-``typing``, and a projection trajectory without numpy: fresh interpreters,
-checked through ``sys.modules``; and the
+``typing``, and a projection trajectory and the ``trajectories``
+subcommand without numpy: fresh interpreters, checked through
+``sys.modules``; and the
 contract of the package's records, which are namedtuples so that they cost
 no import."""
 
@@ -91,6 +92,16 @@ def test_trajectory_leaves_numpy_unloaded():
         "print(len(curve), type(curve[-1][0]).__name__, 'numpy' in sys.modules)"
     )
     assert done.stdout.split() == ["8", "float", "False"]
+
+
+def test_trajectories_subcommand_leaves_numpy_unloaded():
+    done = fresh_python(
+        "import os, sys\n"
+        "from blochmle.cli import main\n"
+        "code = main(['trajectories', '--grid', '3', '--samples', '4', '--out', os.devnull])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_import_leaves_numpy_unloaded():
