@@ -160,12 +160,18 @@ def temporal_estimate(counts: CountRecord) -> tuple[StokesVector, WeightVector]:
     Returns the per-axis relative frequency difference (n+ - n-)/N_i and the
     measurement fractions N_i/N.  The estimate may fall outside the Bloch
     ball; correcting that is the projector's job.  Both come from Python int
-    true division, which is correctly rounded for counts of any size.
+    true division, which is correctly rounded for counts of any size.  A
+    fraction that rounds to 0.0 (N_i/N below the smallest positive float)
+    is an ``InvalidInputError`` naming the axis.
     """
     (p1, p2, p3), (m1, m2, m3) = counts
     t1, t2, t3 = p1 + m1, p2 + m2, p3 + m3
     total = t1 + t2 + t3
-    return ((p1 - m1) / t1, (p2 - m2) / t2, (p3 - m3) / t3), (t1 / total, t2 / total, t3 / total)
+    s = t1 / total, t2 / total, t3 / total
+    if 0.0 in s:
+        axis = s.index(0.0) + 1
+        raise InvalidInputError(f"axis {axis}: its share of the shots, N_{axis}/N, is below the smallest positive float")
+    return ((p1 - m1) / t1, (p2 - m2) / t2, (p3 - m3) / t3), s
 
 
 def norm_squared(xi) -> float:

@@ -14,12 +14,28 @@ counts file.  The text is byte-identical to ``json.dumps`` with a two-space
 indent, which has no C path and costs more per record than the estimate
 itself.  Every value in a report is a plain float, bool or int, so ``%r``
 writes a float as ``float.__repr__`` does and ``%d`` an int as
-``int.__repr__`` does.  Every float in a report is finite for validated
-counts: |x_i| <= |xi_hat_i| keeps every model probability positive wherever
-the empirical one is, so the KL is finite; lambda never exceeds the
-solver's ``lam_max``; and the oracle's answers are finite.  The layouts
-rely on that, since ``%r`` writes ``nan`` and ``inf`` where ``json.dumps``
-writes ``NaN`` and ``Infinity``.  ``csv_text`` writes every CSV.
+``int.__repr__`` does.  A 3-vector's slots are ``%s``, which take a float
+(its ``str`` is its ``repr``) or the text of its ``repr``.  Every float in
+a report is finite for validated counts: |x_i| <= |xi_hat_i| keeps every
+model probability positive wherever the empirical one is, so the KL is
+finite; lambda never exceeds the solver's ``lam_max``; and the oracle's
+answers are finite.  The layouts rely on that, since ``%r`` writes ``nan``
+and ``inf`` where ``json.dumps`` writes ``NaN`` and ``Infinity``.
+``csv_text`` writes every CSV.
+
+``float.__repr__`` is most of what the writer costs, so ``report_to_json``
+formats each distinct float of the head once and feeds its text to every
+slot it fills:
+
+- An unprojected report's ``xi_star`` holds the floats of ``xi_hat``, as
+  ``build_estimate_report`` sets it, so the texts of ``xi_hat`` fill both
+  blocks.  That rests on this contract, not on ``==``: 0.0 == -0.0, but
+  their texts differ.
+- Equal weights, which equal shots per axis give, share one text.  Weights
+  are positive, and equal positive floats have the same ``repr``.
+
+An unprojected report then formats 8 floats instead of 11, or 6 with equal
+weights; a projected report with equal weights formats 14 instead of 16.
 
 A report's ``kl_empirical_to_mle`` is exactly 0.0 when the estimate was
 not projected, and ``empirical_kl`` is then not called: the MLE is the
@@ -45,7 +61,7 @@ from .projector import project_mle
 COUNTS_CSV_HEADER = ["axis", "n_plus", "n_minus"]
 
 # a 3-vector at the indent of a report's top-level keys
-_VECTOR = "[\n    %r,\n    %r,\n    %r\n  ]"
+_VECTOR = "[\n    %s,\n    %s,\n    %s\n  ]"
 _REPORT_HEAD = (
     '{\n  "xi_hat": ' + _VECTOR + ',\n  "s_hat": ' + _VECTOR + ',\n  "xi_hat_norm": %r,\n  "was_projected": %s,\n'
     '  "xi_star": ' + _VECTOR + ',\n  "kl_empirical_to_mle": %r,\n  "residual_evaluations": %d'
@@ -201,12 +217,23 @@ def build_estimate_report(counts: CountRecord, with_oracle: bool = False) -> dic
 def report_to_json(report: dict) -> str:
     """The text of a report that ``build_estimate_report`` returned."""
     projected = report["was_projected"]
+    x1, x2, x3 = report["xi_hat"]
+    if projected:
+        y1, y2, y3 = report["xi_star"]
+    else:
+        # xi_star is xi_hat (see the module docstring)
+        x1 = y1 = repr(x1)
+        x2 = y2 = repr(x2)
+        x3 = y3 = repr(x3)
+    s1, s2, s3 = report["s_hat"]
+    if s1 == s2 == s3:
+        s1 = s2 = s3 = repr(s1)
     text = _REPORT_HEAD % (
-        *report["xi_hat"],
-        *report["s_hat"],
+        x1, x2, x3,
+        s1, s2, s3,
         report["xi_hat_norm"],
         "true" if projected else "false",
-        *report["xi_star"],
+        y1, y2, y3,
         report["kl_empirical_to_mle"],
         report["residual_evaluations"],
     )

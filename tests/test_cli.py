@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import itertools
@@ -131,10 +132,13 @@ def as_json_dumps(doc) -> str:
 
 def seeded_records(seed: int, n: int):
     # 1 to 2000 shots per axis; alternately near-pure states, most of them
-    # outside the ball, and mixed states inside it
+    # outside the ball, and mixed states inside it.  Two records in four,
+    # one of each kind, have the same shots on every axis, so equal weights
     rng = np.random.default_rng(seed)
     for i in range(n):
         shots = rng.integers(1, 2000, size=3)
+        if i % 4 < 2:
+            shots[1:] = shots[0]
         p_plus = rng.beta(0.3, 0.3, size=3) if i % 2 else rng.uniform(0.3, 0.7, size=3)
         n_plus = rng.binomial(shots, p_plus)
         yield CountRecord(tuple(int(k) for k in n_plus), tuple(int(k) for k in shots - n_plus))
@@ -144,32 +148,45 @@ class TestJsonWriter:
     """reports and counts files are byte-identical to json.dumps(indent=2)"""
 
     def test_seeded_reports(self):
-        projected = interior = 0
+        # every pairing of projected or not with equal weights or not, which
+        # report_to_json writes each its own way
+        kinds = collections.Counter()
         for record in seeded_records(7, 400):
             report = build_estimate_report(record)
             assert report_to_json(report) == as_json_dumps(report)
-            projected += report["was_projected"]
-            interior += not report["was_projected"]
-        assert projected > 50 and interior > 50
+            s1, s2, s3 = report["s_hat"]
+            kinds[report["was_projected"], s1 == s2 == s3] += 1
+        assert len(kinds) == 4 and min(kinds.values()) > 50
 
     @pytest.mark.parametrize(
         "record",
-        [RECORD, CountRecord((90, 90, 90), (10, 10, 10)), CountRecord((100, 65, 50), (0, 35, 50))],
-        ids=["interior", "projected", "component_at_1"],
+        [
+            RECORD,
+            CountRecord((90, 90, 90), (10, 10, 10)),
+            CountRecord((100, 65, 50), (0, 35, 50)),
+            CountRecord((7, 2, 6), (3, 8, 4)),
+            CountRecord((30, 10, 45), (10, 10, 55)),
+        ],
+        # RECORD has equal totals and xi_hat = (0.6, 0.0, 0.3); the last two
+        # are unprojected with only one of those: equal totals, then a 0.0
+        ids=["interior", "projected", "component_at_1", "interior_equal_totals", "interior_zero_component"],
     )
     def test_named_reports(self, record):
         report = build_estimate_report(record)
         assert report_to_json(report) == as_json_dumps(report)
 
     def test_report_with_oracle(self):
-        # the second record, xi_hat = (1, 1, 0) with s_hat ~ (5e-301, 5e-301, 1),
-        # puts extreme magnitudes and exact zeros in a real report: lambda_star
-        # ~2.4e300, a KL ~1.6e-301 and 24 residual evaluations
-        for record in CountRecord((90, 90, 90), (10, 10, 10)), CountRecord((1, 1, 10**300), (0, 0, 10**300)):
-            report = build_estimate_report(record, with_oracle=True)
+        # RECORD is unprojected; the third record, xi_hat = (1, 1, 0) with
+        # s_hat ~ (5e-301, 5e-301, 1), puts extreme magnitudes and exact
+        # zeros in a real report: lambda_star ~2.4e300, a KL ~1.6e-301 and
+        # 24 residual evaluations
+        records = RECORD, CountRecord((90, 90, 90), (10, 10, 10)), CountRecord((1, 1, 10**300), (0, 0, 10**300))
+        interior, _, extreme = reports = [build_estimate_report(record, with_oracle=True) for record in records]
+        for report in reports:
             assert isinstance(report["oracle"], dict)
             assert report_to_json(report) == as_json_dumps(report)
-        assert report["lambda_star"] > 1e300 and report["s_hat"][0] < 1e-300 and report["xi_star"][2] == 0.0
+        assert not interior["was_projected"]
+        assert extreme["lambda_star"] > 1e300 and extreme["s_hat"][0] < 1e-300 and extreme["xi_star"][2] == 0.0
 
     def test_counts_above_2_53(self):
         record = CountRecord((2**53 + 1, 3, 2**70), (1, 2**63, 5))
@@ -275,6 +292,12 @@ class TestCliEstimate:
         path.write_text('{"axes": [{"axis": 1, "n_plus": -3, "n_minus": 1}]}')
         assert main(["estimate", "--in", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+        # one shot against 2 * 10**400: axis 1's share of the shots rounds
+        # to 0.0, and the message names that, not the weights it would give
+        path.write_text(counts_to_json(CountRecord((1, 10**400, 10**400), (0, 0, 0))))
+        assert main(["estimate", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: axis 1: its share of the shots, N_1/N, is below the smallest positive float\n"
 
     def test_count_over_4300_digits_exit_2(self, tmp_path, capsys):
         # json.loads refuses it with a ValueError that is no JSONDecodeError

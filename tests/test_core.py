@@ -51,6 +51,22 @@ def test_temporal_estimate_counts_above_2_53():
     assert s[1] == 4 / (2**61 + 8)
 
 
+@pytest.mark.parametrize("axis", [1, 2, 3])
+def test_temporal_estimate_share_below_smallest_float(axis):
+    # one shot against 2 * 10**400: N_axis/N rounds to 0.0, which the
+    # weight rule would blame on weights the user never gave
+    totals = [10**400] * 3
+    totals[axis - 1] = 1
+    with pytest.raises(InvalidInputError) as info:
+        temporal_estimate(CountRecord(tuple(totals), (0, 0, 0)))
+    assert str(info.value) == f"axis {axis}: its share of the shots, N_{axis}/N, is below the smallest positive float"
+    # one shot against 2**1074 is a share of the smallest positive float
+    totals = [2**1073] * 3
+    totals[axis - 1] = 1
+    _, s = temporal_estimate(CountRecord(tuple(totals), (0, 0, 0)))
+    assert s[axis - 1] == 5e-324
+
+
 @pytest.mark.parametrize(
     "xi, expected",
     [((0.0, 0.0, 0.0), 0.0), ((1.0, 0.0, 0.0), 1.0), ((0.6, 0.0, 0.3), 0.45)],
