@@ -14,7 +14,9 @@ The modules that need numpy (simulator, checks) are imported inside
 the subcommands that use them, so neither ``trajectories`` nor an
 ``estimate`` process without ``--oracle`` ever loads it;
 the package's records are namedtuples, so it loads neither ``dataclasses``
-nor ``typing`` either.
+nor ``typing`` either.  ``estimate --oracle`` loads numpy through
+``oracle``, which also holds the cross-check's tolerance, and no more: not
+``checks``, ``infogeo`` or ``simulator``.
 """
 
 from __future__ import annotations
@@ -99,15 +101,21 @@ def _parse_weights(text: str, flag: str) -> tuple[float, float, float]:
     if not all(math.isfinite(r) and r > 0.0 for r in ratios):
         raise InvalidInputError(f"{flag}: weights must be positive, got {text!r}")
     total = ratios[0] + ratios[1] + ratios[2]
+    if not math.isfinite(total):
+        # the sum overflows: scale by the largest ratio first, and only then,
+        # so that every ratio triple with a finite sum keeps its weights' bits
+        top = max(ratios)
+        ratios = [r / top for r in ratios]
+        total = ratios[0] + ratios[1] + ratios[2]
     return weight_vector([r / total for r in ratios])
 
 
 def _methods_agree(max_discrepancy: float) -> bool:
     """The rule of ``bench`` and ``estimate --oracle``: the projector and
     the direct search agree when the max-norm gap between their answers is
-    below ``checks.DISCREPANCY_TOL``.  A disagreement is also written to
-    stderr."""
-    from .checks import DISCREPANCY_TOL  # noqa: PLC0415 - see the module docstring
+    below ``oracle.DISCREPANCY_TOL``.  A disagreement is also written to
+    stderr.  Both callers have loaded ``oracle`` already."""
+    from .oracle import DISCREPANCY_TOL  # noqa: PLC0415 - see the module docstring
 
     if max_discrepancy < DISCREPANCY_TOL:
         return True

@@ -45,6 +45,10 @@ inside the ball, at worst at the origin: with weights log-uniform down to
 with an objective within 2e-11 of it.  A call took 1.8-3.7 ms (5th to 95th
 percentile of 3,000 exterior instances, median 2.2-2.3 ms; an objective
 evaluation about 5 us) on a shared 2-core Xeon with numpy 2.4.
+
+``DISCREPANCY_TOL``, the cross-check's rule, is kept here, with the search
+it judges, so that ``estimate --oracle`` loads this module and not the
+check batteries.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ import math
 import numpy as np
 
 from .core import StokesVector, WeightVector, empirical_kl, norm_squared, stokes_vector, weight_vector
+
+# bench and estimate --oracle: the methods agree when the max-norm gap
+# between their answers is below this
+DISCREPANCY_TOL = 1e-4
 
 # The barrier stages run at t = 1, 20, 400, ..., 20^8, the first power of
 # 20 whose duality gap 1/t is below 1e-10.  A stage ends once half the
@@ -144,4 +152,4 @@ def oracle_mle(xi_hat: StokesVector, s: WeightVector):
     return _kkt(xi_hat, s, x, 2.0 / (_STAGES[-1] * (1.0 - norm_squared(x))))
 
 
-__all__ = ["oracle_mle"]
+__all__ = ["DISCREPANCY_TOL", "oracle_mle"]

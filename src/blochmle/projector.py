@@ -18,6 +18,7 @@ inside a bracket that grows and bisects in log lam (see ``_solve_lambda``).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -335,6 +336,10 @@ def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int)
     lam_star = project_mle(xi_hat, s).lambda_star
     if lam_star is None:
         raise InvalidInputError("trajectories are only defined for points outside the unit ball")
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise InvalidInputError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 2:
         raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
     step = lam_star / (n_samples - 1)

@@ -7,7 +7,7 @@ their own sizes; after its verdict a test pins each size by counting the
 calls the battery makes (the ``check_calls`` fixture).  Where a criterion
 is a ``check`` gate, it reads the gate's bound from ``checks.GATES`` (the
 ``gate_bound`` fixture); the projector-versus-oracle criteria read
-``checks.DISCREPANCY_TOL``, the bound of ``bench`` and ``estimate --oracle``.
+``oracle.DISCREPANCY_TOL``, the bound of ``bench`` and ``estimate --oracle``.
 """
 
 import math
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from blochmle.checks import (
-    DISCREPANCY_TOL,
     canonical_kl_defect,
     consistency_errors,
     exterior_point,
@@ -30,7 +29,7 @@ from blochmle.checks import (
     random_weights,
     run_benchmark,
 )
-from blochmle.oracle import oracle_mle
+from blochmle.oracle import DISCREPANCY_TOL, oracle_mle
 from blochmle.projector import project_mle
 
 EQUAL = np.array([1 / 3, 1 / 3, 1 / 3])

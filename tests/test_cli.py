@@ -445,6 +445,18 @@ class TestCliSimulate:
     def test_invalid_state_exit_2(self):
         assert main(["simulate", "--xi", "1,1,1", "--mode", "standard", "--N", "10"]) == 2
 
+    @pytest.mark.parametrize("ratios, scaled", [("1e308,1e308,1", "1,1,1e-308"), ("1e308,1e308,1e308", "1,1,1")])
+    def test_ratios_whose_sum_overflows(self, ratios, scaled, capsys):
+        # the sum of the ratios is inf: they are scaled by the largest first,
+        # where they used to be refused as non-positive weights [0.0, 0.0, 0.0].
+        # A weight of 5e-309 draws no shot on axis 3 in 10, so the first pair
+        # both exit 2 naming that axis
+        def run(ratios):
+            code = main(["simulate", "--xi", "0.1,0,0", "--mode", "randomized", "--N", "10", "--s", ratios])
+            return code, *capsys.readouterr()
+
+        assert run(ratios) == run(scaled)
+
     def test_negative_seed_exit_2(self, capsys):
         assert main(["simulate", "--xi", "0.1,0,0", "--N", "10", "--seed", "-1"]) == 2
         assert "seed must be a 64-bit unsigned integer, got -1" in capsys.readouterr().err
@@ -595,6 +607,12 @@ class TestCliTrajectories:
 
     def test_bad_weights_exit_2(self):
         assert main(["trajectories", "--s", "1,0,1"]) == 2
+
+    @pytest.mark.parametrize("ratios, scaled", [("1e308,1e308,1", "1,1,1e-308"), ("1e308,1e308,1e308", "1,1,1")])
+    def test_ratios_whose_sum_overflows(self, ratios, scaled, capsys):
+        assert self._rows(capsys, "--grid", "3", "--samples", "4", "--s", ratios) == self._rows(
+            capsys, "--grid", "3", "--samples", "4", "--s", scaled
+        )
 
     def test_too_few_samples_exit_2(self, tmp_path, capsys):
         # projection_trajectory refuses it at the first start point

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochmle import projector
+from blochmle import checks, projector
 from blochmle.checks import (
     cubic_grid_residuals,
     equivariance_defect,
@@ -324,6 +324,15 @@ class TestSolveLambda:
         assert lambda_monotonicity_ok(seed=17)
         assert len(projections) == 50
 
+    @pytest.mark.parametrize(
+        "residual",
+        [lambda lam: -0.5, lambda lam: (math.log10(lam) + 5.5) * (math.log10(lam) + 5.0)],
+        ids=["flat", "crosses_twice"],
+    )
+    def test_monotonicity_check_catches(self, residual, monkeypatch):
+        monkeypatch.setattr(checks, "_evaluate", lambda lam, s, xi_hat: (residual(lam),))
+        assert not lambda_monotonicity_ok(seed=17)
+
 
 class TestProjectMle:
     def test_interior_untouched(self):
@@ -360,6 +369,15 @@ class TestProjectMle:
         metrics = check_calls("fisher_metric")
         assert projection_orthogonality_defect(seed=23) < gate_bound(projection_orthogonality_defect)
         assert len(metrics) == 200
+
+    def test_metric_orthogonality_catches_the_euclidean_projection(self, monkeypatch, gate_bound):
+        # xi_hat / |xi_hat| is the nearest sphere point in the flat metric,
+        # not the Fisher one: its correction step is not metric-normal
+        def euclidean(xi_hat, s):
+            return project_mle(xi_hat, s)._replace(xi_star=tuple(xi_hat / math.sqrt(norm_squared(xi_hat))))
+
+        monkeypatch.setattr(checks, "project_mle", euclidean)
+        assert projection_orthogonality_defect(seed=1) > gate_bound(projection_orthogonality_defect)
 
     def test_global_optimality(self, gate_bound):
         assert projection_optimality_defect(seed=29) < gate_bound(projection_optimality_defect)
@@ -591,6 +609,10 @@ class TestTrajectory:
             projection_trajectory(np.array([0.5, 0.0, 0.0]), EQUAL, 10)
         with pytest.raises(InvalidInputError):
             projection_trajectory(np.array([0.9, 0.9, 0.0]), EQUAL, 1)
+        # a count that is not an integer used to raise TypeError
+        for n_samples in (3.0, "3", None):
+            with pytest.raises(InvalidInputError, match="n_samples"):
+                projection_trajectory(np.array([0.9, 0.9, 0.0]), EQUAL, n_samples)
 
 
 exterior_points = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.asarray).filter(
