@@ -27,7 +27,6 @@ _SOURCES = {
     "dual_coordinates": "infogeo",
     "finite_distribution": "infogeo",
     "fisher_metric": "infogeo",
-    "foliation_orthogonality_defect": "infogeo",
     "kl_divergence": "infogeo",
     "product_distribution": "infogeo",
     "randomized_distribution": "infogeo",

@@ -16,12 +16,19 @@ projector and the direct search by is ``oracle.DISCREPANCY_TOL``, kept
 with the search it judges, so that ``estimate --oracle`` does not import
 this module.  The projector batteries draw their instances from one
 shared stream, ``_exterior_projections``.
+
+``infogeo`` holds the paper's closed forms; the numeric derivatives that
+check them are here, each formed by ``_central_difference``.  The Fisher
+metric's gate and the foliation's read the state rows of one numeric
+Fisher matrix (``_fisher_rows``), the state-state and the state-weight
+block, from one stream of points, ``_fisher_samples``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from collections import namedtuple
 from itertools import islice
@@ -30,13 +37,10 @@ import numpy as np
 
 from .core import InvalidInputError, empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
-    _DIFFERENCE_STEP,
     _log_partition,
-    _numeric_fisher_matrix,
     canonical_divergence,
     dual_coordinates,
     fisher_metric,
-    foliation_orthogonality_defect,
     kl_divergence,
     product_distribution,
     randomized_distribution,
@@ -44,6 +48,9 @@ from .infogeo import (
 from .oracle import oracle_mle
 from .projector import _evaluate, cubic_solve, project_mle
 from .simulator import SimulationSpec, simulate
+
+# step of the central differences of the infogeo batteries
+_DIFFERENCE_STEP = 1e-6
 
 # consistency_errors: the pure state (1, 1, 1)/sqrt(3), measured with equal weights
 CONSISTENCY_STATE = (0.5773502691896258, 0.5773502691896258, 0.5773502691896258)
@@ -70,6 +77,15 @@ def _battery(defects):
         return _worst(defects(seed))
 
     return battery
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int by ``operator.index``: a float, even an integral
+    one, or text is an ``InvalidInputError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 # --- samplers -------------------------------------------------------------
@@ -149,15 +165,48 @@ def pythagorean_defect(seed=0):
         yield abs(kl_divergence(top, bot) - kl_divergence(top, mid) - kl_divergence(mid, bot))
 
 
-@_battery
-def fisher_agreement_defect(seed=0):
-    """Entrywise gap between the analytic metric and the score-covariance
-    expectation computed from the 6-outcome model by central differences."""
+def _central_difference(f, x, i):
+    """d f / d x_i at the float array ``x``, by a central difference."""
+    step = np.zeros(len(x))
+    step[i] = _DIFFERENCE_STEP
+    return (f(x + step) - f(x - step)) / (2.0 * _DIFFERENCE_STEP)
+
+
+def _fisher_rows(s, xi) -> np.ndarray:
+    """Rows xi1..xi3 of the Fisher matrix of the 6-outcome model in the
+    (xi1, xi2, xi3, s1, s2) parametrization, s3 = 1 - s1 - s2, as the score
+    covariance sum_w dp(w) dp(w) / p(w) over central-difference derivatives.
+    Columns 0..2 hold the state-state block, 3..4 the state-weight block.
+
+    The model is affine in every parameter, so the differences are exact up
+    to rounding.
+    """
+
+    def probs(v):
+        return randomized_distribution((v[3], v[4], 1.0 - v[3] - v[4]), v[:3])
+
+    v = np.array([xi[0], xi[1], xi[2], s[0], s[1]])
+    d = np.array([_central_difference(probs, v, i) for i in range(5)])
+    return np.sum(d[:3, None] * d / probs(v), axis=2)
+
+
+def _fisher_samples(seed):
+    """100 random interior points with random weights, each as (s, xi, the
+    ``_fisher_rows`` there): one stream for the Fisher metric's gate and
+    the foliation's."""
     rng = np.random.default_rng(seed)
     for _ in range(100):
         s = random_weights(rng)
         xi = interior_point(rng, bound=0.95)
-        yield from np.abs(fisher_metric(xi, s) - _numeric_fisher_matrix(s, xi)[:3, :3]).ravel().tolist()
+        yield s, xi, _fisher_rows(s, xi)
+
+
+@_battery
+def fisher_agreement_defect(seed=0):
+    """Entrywise gap between the analytic metric and the score-covariance
+    expectation computed from the 6-outcome model by central differences."""
+    for s, xi, rows in _fisher_samples(seed):
+        yield from np.abs(fisher_metric(xi, s) - rows[:, :3]).ravel().tolist()
 
 
 @_battery
@@ -167,17 +216,15 @@ def legendre_defect(seed=0):
     for _ in range(100):
         coords = dual_coordinates(interior_point(rng))
         for i in range(3):
-            e = np.zeros(3)
-            e[i] = _DIFFERENCE_STEP
-            grad = (_log_partition(coords.theta + e) - _log_partition(coords.theta - e)) / (2.0 * _DIFFERENCE_STEP)
-            yield abs(grad - coords.eta[i])
+            yield abs(_central_difference(_log_partition, coords.theta, i) - coords.eta[i])
 
 
 @_battery
 def foliation_defect(seed=0):
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        yield foliation_orthogonality_defect(random_weights(rng), interior_point(rng, bound=0.95))
+    """Largest Fisher inner product between a state direction and a weight
+    direction; zero where the weight and state slices meet orthogonally."""
+    for _, _, rows in _fisher_samples(seed):
+        yield float(np.abs(rows[:, 3:]).max())
 
 
 # --- projector batteries ---------------------------------------------------
@@ -238,12 +285,9 @@ def projection_optimality_defect(seed=0):
     for _ in range(20):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
-        x = project_mle(xi_hat, s).xi_star
-        base = kl_divergence(randomized_distribution(s, xi_hat), randomized_distribution(s, x))
+        base = empirical_kl(xi_hat, s, project_mle(xi_hat, s).xi_star)
         for _ in range(200):
-            r = sphere_point(rng)
-            rival = kl_divergence(randomized_distribution(s, xi_hat), randomized_distribution(s, r))
-            yield base - rival
+            yield base - empirical_kl(xi_hat, s, sphere_point(rng))
 
 
 @_battery
@@ -339,10 +383,14 @@ def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, bas
     Returns the per-N error arrays, RMSEs and median errors, and the log-log
     slopes of the RMSE and the median error; both should sit near -1/2.
     Run k at the idx-th N has seed base_seed + 100000 idx + k, modulo 2^64
-    so that every valid base seed gives valid seeds.
+    so that every valid base seed gives valid seeds.  The slopes need at
+    least two distinct shot counts.
     """
+    seeds_per_n = _count(seeds_per_n, "seeds_per_n")
     if seeds_per_n < 1:
         raise InvalidInputError(f"seeds_per_n must be >= 1, got {seeds_per_n}")
+    if len(set(n_values)) < 2:
+        raise InvalidInputError(f"need at least 2 distinct shot counts, got {n_values!r}")
     errors = {}
     for idx, n in enumerate(n_values):
         errs = np.empty(seeds_per_n)
@@ -415,6 +463,7 @@ def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
     discrepancy between the two answers.  Absolute times are
     machine-dependent; the reproducible claim is the ordering.
     """
+    trials = _count(trials, "trials")
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

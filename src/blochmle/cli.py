@@ -107,7 +107,10 @@ def _parse_weights(text: str, flag: str) -> tuple[float, float, float]:
         top = max(ratios)
         ratios = [r / top for r in ratios]
         total = ratios[0] + ratios[1] + ratios[2]
-    return weight_vector([r / total for r in ratios])
+    weights = [r / total for r in ratios]
+    if 0.0 in weights:
+        raise InvalidInputError(f"{flag}: a weight underflows to 0, below the smallest positive float, got {text!r}")
+    return weight_vector(weights)
 
 
 def _methods_agree(max_discrepancy: float) -> bool:

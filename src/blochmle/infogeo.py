@@ -16,6 +16,10 @@ parameters eta_i = (1+xi_i)/2, log partition psi = sum_i log(1+e^theta_i)
 and negative entropy phi = theta.eta - psi; the canonical divergence built
 from these potentials coincides with the outcome-wise Kullback-Leibler
 divergence, which is what `canonical_divergence` lets tests verify.
+
+The module holds these closed forms only.  The numeric derivatives that
+check them against the model, the score covariance behind the Fisher
+metric and the theta-gradient of psi, live in ``checks``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,6 @@ import numpy as np
 from .core import InvalidInputError, StokesVector, WeightVector, weight_vector
 
 PROB_SUM_TOL = 1e-12
-
-# Central-difference step of the numeric Fisher matrix, and of the Legendre
-# check in ``checks``.
-_DIFFERENCE_STEP = 1e-6
 
 
 def _real_array(values, what: str) -> np.ndarray:
@@ -97,8 +97,8 @@ def randomized_distribution(s: WeightVector, xi: StokesVector) -> np.ndarray:
 
 
 def _six_outcome(s: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    # Unchecked 6-outcome probabilities, shared by the validating constructor,
-    # the central differences below and the simulator's randomized mode.
+    # Unchecked 6-outcome probabilities, shared by the validating constructor
+    # and the simulator's randomized mode.
     out = np.empty(6)
     out[0::2] = s * (1.0 + xi) / 2.0
     out[1::2] = s * (1.0 - xi) / 2.0
@@ -150,40 +150,3 @@ def fisher_metric(xi: StokesVector, s: WeightVector) -> np.ndarray:
     xi = _interior(xi, sizes=(3,))
     s = np.asarray(weight_vector(s))
     return np.diag(s / (1.0 - xi**2))
-
-
-def _numeric_fisher_matrix(s: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """5 x 5 Fisher matrix of the 6-outcome model in the (xi1, xi2, xi3, s1,
-    s2) parametrization, s3 = 1 - s1 - s2 implicit, as the score covariance
-    sum_w dp(w) dp(w) / p(w) over central-difference derivatives.
-
-    The model is affine in every parameter, so the differences are exact up
-    to rounding.  No normalization checks: callers validate.
-    """
-
-    def probs(s1, s2, x):
-        return _six_outcome(np.array([s1, s2, 1.0 - s1 - s2]), x)
-
-    step = _DIFFERENCE_STEP
-    p = probs(s[0], s[1], xi)
-    derivs = []
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        derivs.append((probs(s[0], s[1], xi + e) - probs(s[0], s[1], xi - e)) / (2.0 * step))
-    derivs.append((probs(s[0] + step, s[1], xi) - probs(s[0] - step, s[1], xi)) / (2.0 * step))
-    derivs.append((probs(s[0], s[1] + step, xi) - probs(s[0], s[1] - step, xi)) / (2.0 * step))
-    g = np.empty((5, 5))
-    for i in range(5):
-        for j in range(5):
-            g[i, j] = float(np.sum(derivs[i] * derivs[j] / p))
-    return g
-
-
-def foliation_orthogonality_defect(s: WeightVector, xi: StokesVector) -> float:
-    """Largest Fisher inner product between a state direction and a weight
-    direction on the 6-outcome model; zero when the foliation is orthogonal.
-
-    Derivatives are central differences (see ``_numeric_fisher_matrix``).
-    """
-    return float(np.abs(_numeric_fisher_matrix(weight_vector(s), _interior(xi, sizes=(3,)))[:3, 3:]).max())

@@ -90,7 +90,9 @@ def _require_int(value, idx: int, key: str) -> int:
 def _parse_int(text: str, row: int, column: str) -> int:
     try:
         return int(text)
-    except ValueError:
+    except ValueError as exc:
+        if text.strip().isdecimal():  # digits beyond int()'s limit: name it, not echo them
+            raise InvalidInputError(f"row {row} {column}: {exc}") from None
         raise InvalidInputError(f"row {row} {column}: not an integer: {text!r}") from None
 
 

@@ -85,7 +85,7 @@ def test_criterion_04_potential_divergence_equals_kl(check_calls, gate_bound):
 
 
 def test_criterion_05_foliation_orthogonality(check_calls, gate_bound):
-    points = check_calls("foliation_orthogonality_defect")
+    points = check_calls("_fisher_rows")
     defect = foliation_defect(seed=505)
     _verdict(5, "weight/state slices orthogonal at 100 points", defect < gate_bound(foliation_defect),
              f"defect {defect:.2e}")
@@ -102,17 +102,17 @@ def test_criterion_06_fisher_metric_agreement(check_calls, gate_bound):
 
 def test_criterion_07_pythagorean_and_optimality(check_calls, gate_bound):
     divergences = check_calls("kl_divergence")
+    objectives = check_calls("empirical_kl")
     projections = check_calls("project_mle")
     additivity = pythagorean_defect(seed=707)
-    additivity_divergences = len(divergences)
     optimality = projection_optimality_defect(seed=707)
     passed = additivity < gate_bound(pythagorean_defect) and optimality < gate_bound(projection_optimality_defect)
     _verdict(7, "divergence additivity and global optimality", passed,
              f"additivity {additivity:.2e}, optimality slack {optimality:.2e}")
     # 3 divergences per additivity instance; per optimality instance, the
-    # estimate's and 200 sphere points'
-    assert additivity_divergences == 3 * 100
-    assert len(divergences) - additivity_divergences == 20 * (1 + 200)
+    # empirical KL of the estimate and of 200 sphere points
+    assert len(divergences) == 3 * 100
+    assert len(objectives) == 20 * (1 + 200)
     assert len(projections) == 20
 
 

@@ -46,6 +46,31 @@ def nan_on_second_call(function):
     return fake
 
 
+# the columns of ``checks._fisher_rows`` that each of its two gates reads:
+# the Fisher metric's gate the state-state block, the foliation's the
+# state-weight block
+METRIC_BLOCK, FOLIATION_BLOCK = slice(0, 3), slice(3, 5)
+
+
+def fisher_rows_set(columns, value, every=1):
+    """A fake of ``checks._fisher_rows``, built from the real function, that
+    sets ``columns`` of every ``every``-th call's rows to ``value`` and
+    leaves the other block as computed, so only one gate reads the fault."""
+
+    def make(function):
+        calls = itertools.count(1)
+
+        def fake(s, xi):
+            rows = function(s, xi)
+            if next(calls) % every == 0:
+                rows[:, columns] = value
+            return rows
+
+        return fake
+
+    return make
+
+
 class TestCountsFormats:
     def test_json_roundtrip(self):
         assert parse_counts_json(counts_to_json(RECORD)) == RECORD
@@ -308,6 +333,15 @@ class TestCliEstimate:
         err = capsys.readouterr().err
         assert "error: not valid JSON: Exceeds the limit (4300 digits) for integer string conversion" in err
 
+    def test_csv_count_over_4300_digits_exit_2(self, tmp_path, capsys):
+        # it used to be "not an integer", echoing all 5,000 digits
+        path = tmp_path / "big.csv"
+        path.write_text("axis,n_plus,n_minus\n1," + "9" * 5000 + ",1\n2,1,1\n3,1,1\n")
+        assert main(["estimate", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 1 n_plus: Exceeds the limit (4300 digits) for integer string conversion")
+        assert "9" * 4300 not in err
+
     def test_csv_field_over_size_limit_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("axis,n_plus,n_minus\n1," + "9" * 200_000 + ",1\n2,1,1\n3,1,1\n")
@@ -457,6 +491,14 @@ class TestCliSimulate:
 
         assert run(ratios) == run(scaled)
 
+    @pytest.mark.parametrize("ratios", ["1,1,5e-324", "1e308,1e308,1e-300"])
+    def test_ratios_whose_weight_underflows_exit_2(self, ratios, capsys):
+        # every ratio is positive: they used to be refused as non-positive
+        # weights [0.5, 0.5, 0.0]
+        assert main(["simulate", "--xi", "0.1,0,0", "--mode", "randomized", "--N", "10", "--s", ratios]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --s: a weight underflows to 0, below the smallest positive float, got {ratios!r}\n"
+
     def test_negative_seed_exit_2(self, capsys):
         assert main(["simulate", "--xi", "0.1,0,0", "--N", "10", "--seed", "-1"]) == 2
         assert "seed must be a 64-bit unsigned integer, got -1" in capsys.readouterr().err
@@ -558,6 +600,9 @@ class TestCliBench:
         # the one check behind ``bench --trials``; it was a bare ValueError
         with pytest.raises(InvalidInputError, match="^trials must be >= 1, got 0$"):
             run_benchmark(0)
+        # a TypeError from range() used to escape
+        with pytest.raises(InvalidInputError, match="^trials must be an integer, got 2.5$"):
+            run_benchmark(2.5)
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["bench", "--trials", "1", "--seed", "-1"]) == 2
@@ -613,6 +658,12 @@ class TestCliTrajectories:
         assert self._rows(capsys, "--grid", "3", "--samples", "4", "--s", ratios) == self._rows(
             capsys, "--grid", "3", "--samples", "4", "--s", scaled
         )
+
+    @pytest.mark.parametrize("ratios", ["1,1,5e-324", "1e308,1e308,1e-300"])
+    def test_ratios_whose_weight_underflows_exit_2(self, ratios, capsys):
+        assert main(["trajectories", "--s", ratios]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --s: a weight underflows to 0, below the smallest positive float, got {ratios!r}\n"
 
     def test_too_few_samples_exit_2(self, tmp_path, capsys):
         # projection_trajectory refuses it at the first start point
@@ -677,8 +728,8 @@ class TestCliCheck:
         "name, fake, line",
         [
             (
-                "foliation_orthogonality_defect",
-                lambda real: lambda s, xi: 1.0,
+                "_fisher_rows",
+                fisher_rows_set(FOLIATION_BLOCK, 1.0),
                 "FAIL weight/state slices meet orthogonally (defect 1.000e+00)",
             ),
             (
@@ -686,13 +737,21 @@ class TestCliCheck:
                 lambda real: lambda base_seed: {"median_slope": math.nan},
                 "FAIL median error scales like 1/sqrt(N) (defect nan)",
             ),
+            # the Fisher metric's gate makes the first 100 calls, so the
+            # foliation's instances are calls 101 to 200: an even call is
+            # one after its first
             (
-                "foliation_orthogonality_defect",
-                nan_on_second_call,
+                "_fisher_rows",
+                fisher_rows_set(FOLIATION_BLOCK, math.nan, every=2),
                 "FAIL weight/state slices meet orthogonally (defect nan)",
             ),
+            (
+                "_fisher_rows",
+                fisher_rows_set(METRIC_BLOCK, math.nan),
+                "FAIL analytic vs expectation Fisher matrix (defect nan)",
+            ),
         ],
-        ids=["over_bound", "nan", "nan_after_first"],
+        ids=["over_bound", "nan", "nan_after_first", "metric_block_only"],
     )
     def test_a_failed_gate_exit_1(self, name, fake, line, monkeypatch, capsys):
         # the table holds the batteries themselves, so the fake (built from
@@ -712,10 +771,11 @@ class TestCliCheck:
             (checks.pythagorean_defect, "kl_divergence"),
             (checks.fisher_agreement_defect, "fisher_metric"),
             (checks.legendre_defect, "_log_partition"),
-            (checks.foliation_defect, "foliation_orthogonality_defect"),
+            # named by the block its fake corrupts
+            pytest.param(checks.foliation_defect, "_fisher_rows", id="foliation_defect-foliation_block"),
             (checks.projection_residual_battery, "project_mle"),
             (checks.projection_orthogonality_defect, "fisher_metric"),
-            (checks.projection_optimality_defect, "kl_divergence"),
+            (checks.projection_optimality_defect, "empirical_kl"),
             (checks.equivariance_defect, "project_mle"),
             (checks.cubic_grid_residuals, "cubic_solve"),
         ],
@@ -724,5 +784,8 @@ class TestCliCheck:
     def test_a_nan_after_the_first_instance_is_the_worst(self, battery, name, monkeypatch):
         # weight_lln_defect is left out: it sums integer counts, which
         # cannot be NaN
-        monkeypatch.setattr(checks, name, nan_on_second_call(getattr(checks, name)))
+        # _fisher_rows feeds two gates, so its fake corrupts only the block
+        # that this battery reads
+        fake = fisher_rows_set(FOLIATION_BLOCK, math.nan, every=2) if name == "_fisher_rows" else nan_on_second_call
+        monkeypatch.setattr(checks, name, fake(getattr(checks, name)))
         assert math.isnan(battery(1))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochmle.checks import (
+    _fisher_rows,
     fisher_agreement_defect,
     foliation_defect,
     legendre_defect,
@@ -18,7 +19,6 @@ from blochmle.infogeo import (
     dual_coordinates,
     finite_distribution,
     fisher_metric,
-    foliation_orthogonality_defect,
     kl_divergence,
     product_distribution,
     randomized_distribution,
@@ -80,7 +80,6 @@ class TestKlDivergence:
         lambda: finite_distribution([0.5, [0.25, 0.25]]),
         lambda: randomized_distribution((0.5, 0.25, 0.25), ("0.1", "0", "0")),
         lambda: fisher_metric([0.1, "x", 0.0], (0.5, 0.25, 0.25)),
-        lambda: foliation_orthogonality_defect((0.5, 0.25, 0.25), [0.1, [0.0], 0.0]),
         lambda: dual_coordinates(None),
         lambda: dual_coordinates([0.1j]),
         lambda: finite_distribution([Fraction(1, 2), Fraction(1, 2)]),
@@ -96,7 +95,6 @@ class TestKlDivergence:
         "distribution_ragged",
         "randomized_text",
         "fisher_word",
-        "foliation_ragged",
         "dual_none",
         "dual_complex",
         "distribution_fraction",
@@ -115,10 +113,9 @@ def test_text_and_ragged_input_refused(call):
     [
         lambda: randomized_distribution((0.5, 0.25, 0.25), (0.1, 0.2)),
         lambda: fisher_metric((0.1,), (0.5, 0.25, 0.25)),
-        lambda: foliation_orthogonality_defect((0.5, 0.25, 0.25), (0.1, 0.2, 0.3, 0.0)),
         lambda: dual_coordinates((0.1, 0.2, 0.3, 0.0)),
     ],
-    ids=["randomized", "fisher", "foliation", "dual"],
+    ids=["randomized", "fisher", "dual"],
 )
 def test_wrong_length_refused(call):
     with pytest.raises(InvalidInputError, match="-vector, got shape "):
@@ -267,26 +264,20 @@ class TestFoliation:
         assert theta[0] == pytest.approx(np.log(2.0), abs=1e-14)
 
     def test_orthogonality_at_fixed_points(self):
-        assert foliation_orthogonality_defect(np.array([1 / 3] * 3), np.zeros(3)) < 1e-8
-        assert (
-            foliation_orthogonality_defect(np.array([0.5, 0.3, 0.2]), np.array([0.4, -0.2, 0.1]))
-            < 1e-8
-        )
+        # the state-weight block of the numeric Fisher matrix's state rows
+        assert np.abs(_fisher_rows(np.array([1 / 3] * 3), np.zeros(3))[:, 3:]).max() < 1e-8
+        assert np.abs(_fisher_rows(np.array([0.5, 0.3, 0.2]), np.array([0.4, -0.2, 0.1]))[:, 3:]).max() < 1e-8
 
     def test_orthogonality_battery(self, gate_bound):
         assert foliation_defect(seed=7) < gate_bound(foliation_defect)
 
-    @pytest.mark.parametrize(
-        "s, xi",
-        [
-            ((0.5, 0.3, 0.2), (0.4, -0.2)),
-            ((0.5, 0.3, 0.3), (0.4, -0.2, 0.1)),
-        ],
-        ids=["two_components", "weights_sum_above_1"],
-    )
-    def test_orthogonality_defect_validates(self, s, xi):
-        with pytest.raises(InvalidInputError):
-            foliation_orthogonality_defect(np.array(s), np.array(xi))
+    def test_metric_and_foliation_gates_share_their_points(self, check_calls):
+        points = check_calls("_fisher_rows")
+        fisher_agreement_defect(seed=3)
+        foliation_defect(seed=3)
+        assert len(points) == 2 * 100
+        for (s_a, xi_a), (s_b, xi_b) in zip(points[:100], points[100:]):
+            assert s_a.tolist() == s_b.tolist() and xi_a.tolist() == xi_b.tolist()
 
 
 class TestDivergenceIdentities:

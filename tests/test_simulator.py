@@ -197,6 +197,17 @@ def test_sweep_refuses_seeds_per_n_below_1():
     # 0 used to give NaN errors with a "Mean of empty slice" RuntimeWarning
     with pytest.raises(InvalidInputError, match="^seeds_per_n must be >= 1, got 0$"):
         consistency_errors(seeds_per_n=0)
+    # a TypeError from range() used to escape
+    with pytest.raises(InvalidInputError, match="^seeds_per_n must be an integer, got 2.5$"):
+        consistency_errors(seeds_per_n=2.5)
+
+
+@pytest.mark.parametrize("n_values", [(), (100,), (100, 100)])
+def test_sweep_refuses_fewer_than_two_shot_counts(n_values):
+    # () used to raise numpy's TypeError; one count, given once or twice,
+    # gave a RankWarning and a slope fitted through one point
+    with pytest.raises(InvalidInputError, match="^need at least 2 distinct shot counts, got "):
+        consistency_errors(n_values=n_values, seeds_per_n=1)
 
 
 def test_sweep_cli_writes_the_fitted_medians(tmp_path, capsys):
