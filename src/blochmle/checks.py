@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from collections import namedtuple
 from itertools import islice
 
 import numpy as np
 
-from .core import InvalidInputError, empirical_kl, norm_squared, temporal_estimate
+from .core import InvalidInputError, _integer, empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
     _log_partition,
     canonical_divergence,
@@ -77,15 +76,6 @@ def _battery(defects):
         return _worst(defects(seed))
 
     return battery
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int by ``operator.index``: a float, even an integral
-    one, or text is an ``InvalidInputError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 # --- samplers -------------------------------------------------------------
@@ -386,7 +376,7 @@ def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, bas
     so that every valid base seed gives valid seeds.  The slopes need at
     least two distinct shot counts.
     """
-    seeds_per_n = _count(seeds_per_n, "seeds_per_n")
+    seeds_per_n = _integer(seeds_per_n, "seeds_per_n")
     if seeds_per_n < 1:
         raise InvalidInputError(f"seeds_per_n must be >= 1, got {seeds_per_n}")
     if len(set(n_values)) < 2:
@@ -463,7 +453,7 @@ def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
     discrepancy between the two answers.  Absolute times are
     machine-dependent; the reproducible claim is the ordering.
     """
-    trials = _count(trials, "trials")
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -7,6 +7,15 @@ those conventions are enforced, so downstream numerics can assume them.
 They accept any 3-sequence of real numbers (lists, tuples, numpy arrays and
 numpy scalars) and return plain floats.
 
+Every module reads a library value by one of two rules kept here.  An
+integer (a count, a shot count, a seed, a size) is read by
+``operator.index``, with bools refused: ints and numpy ints pass, and an
+integral float does not (``_integer``).  A real number is anything
+``float()`` reads except text, arrays and complex numbers; bools,
+``Fraction`` and ``Decimal`` pass (``_number``, then ``float()``: ``_real``
+for a scalar, ``_three_floats`` for a 3-vector).  Either rule raises
+``InvalidInputError``, never a ``TypeError`` or a numpy warning.
+
 One record's estimate is three numbers, so its path (this module, the
 projector's solve and the report) works in plain floats and never imports
 numpy: a ``blochmle estimate`` process does not pay for loading it.
@@ -45,14 +54,19 @@ class SolverError(RuntimeError):
     """A numerical routine failed to reach its own tolerance."""
 
 
-def _as_count(value, axis: int, side: str) -> int:
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"axis {axis} {side}: expected an integer, got {value!r}") from None
-    if n < 0:
-        raise InvalidInputError(f"axis {axis} {side}: negative count {n}")
-    return n
+def _integer(value, name: str) -> int:
+    """``value`` as an int by ``operator.index``, else ``InvalidInputError``:
+    ints and numpy ints pass; bools, floats (integral ones too), text and
+    None are refused.  ``name`` is formatted only on refusal, so callers on
+    the per-record path pass a constant."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{name}: expected an integer, got {value!r}")
 
 
 class CountRecord(namedtuple("CountRecord", ["n_plus", "n_minus"])):
@@ -70,12 +84,16 @@ class CountRecord(namedtuple("CountRecord", ["n_plus", "n_minus"])):
             (p1, p2, p3), (m1, m2, m3) = n_plus, n_minus
         except (TypeError, ValueError):  # None, a bare number, a wrong length
             raise InvalidInputError("counts are required for exactly 3 axes") from None
-        plus = (_as_count(p1, 1, "n_plus"), _as_count(p2, 2, "n_plus"), _as_count(p3, 3, "n_plus"))
-        minus = (_as_count(m1, 1, "n_minus"), _as_count(m2, 2, "n_minus"), _as_count(m3, 3, "n_minus"))
-        totals = (plus[0] + minus[0], plus[1] + minus[1], plus[2] + minus[2])
+        p1, p2, p3 = _integer(p1, "axis 1 n_plus"), _integer(p2, "axis 2 n_plus"), _integer(p3, "axis 3 n_plus")
+        m1, m2, m3 = _integer(m1, "axis 1 n_minus"), _integer(m2, "axis 2 n_minus"), _integer(m3, "axis 3 n_minus")
+        if p1 < 0 or p2 < 0 or p3 < 0 or m1 < 0 or m2 < 0 or m3 < 0:
+            counts = (p1, p2, p3, m1, m2, m3)
+            i = [n < 0 for n in counts].index(True)  # the first negative
+            raise InvalidInputError(f"axis {i % 3 + 1} {('n_plus', 'n_minus')[i // 3]}: negative count {counts[i]}")
+        totals = (p1 + m1, p2 + m2, p3 + m3)
         if 0 in totals:
             raise InvalidInputError(f"axis {totals.index(0) + 1}: no measurements recorded")
-        return tuple.__new__(cls, (plus, minus))
+        return tuple.__new__(cls, ((p1, p2, p3), (m1, m2, m3)))
 
     @classmethod
     def _make(cls, iterable):
@@ -98,8 +116,25 @@ def _shape(values) -> tuple:
 
 
 def _number(value) -> bool:
-    """Not text, nor an array, which float() reads if it has one element (numpy < 2)."""
-    return type(value) is float or not (isinstance(value, _TEXT) or getattr(value, "ndim", 0))
+    """Not text, nor an array, which float() reads if it has one element
+    (numpy < 2), nor a numpy complex, which float() reads with a
+    ``ComplexWarning`` by dropping its imaginary part."""
+    return type(value) is float or not (
+        isinstance(value, _TEXT) or getattr(value, "ndim", 0)
+        or getattr(getattr(value, "dtype", None), "kind", "") == "c"
+    )
+
+
+def _real(value, name: str) -> float:
+    """``float(value)`` for a real number, else ``InvalidInputError``: ints,
+    bools, floats, ``Fraction``, ``Decimal``, numpy scalars and 0-d arrays
+    pass; text, other arrays, complex numbers and None are refused."""
+    if _number(value):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
 def _three_floats(values, what: str) -> tuple[float, float, float]:

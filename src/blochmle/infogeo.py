@@ -28,29 +28,29 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import InvalidInputError, StokesVector, WeightVector, weight_vector
+from .core import _TEXT, InvalidInputError, StokesVector, WeightVector, _real, weight_vector
 
 PROB_SUM_TOL = 1e-12
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array if numpy reads them as bools, ints or floats;
-    text, None, other objects (Fraction too) and ragged nesting are refused."""
-    try:
-        vec = np.asarray(values)
-        if vec.dtype.kind in "biuf":
-            return vec.astype(float)
-    except ValueError:  # ragged nesting
-        pass
+    """``values`` as a 1-d float array, each item read by core's real rule
+    (``Fraction`` and ``Decimal`` too); text, None, complex numbers, bare
+    numbers and nested or ragged sequences are refused."""
+    if not isinstance(values, _TEXT):  # bytes would unpack into ints
+        try:
+            return np.array([_real(x, what) for x in values])
+        except (TypeError, InvalidInputError):  # not iterable, or an item is no real number
+            pass
     raise InvalidInputError(f"{what} needs real numbers, got {values!r}")
 
 
 def finite_distribution(probs) -> np.ndarray:
-    """Validate a probability vector on the open simplex: a 1-d float array,
-    strictly positive entries summing to 1."""
+    """Validate a probability vector on the open simplex: a 1-d float array
+    of at least 2 strictly positive entries summing to 1."""
     p = _real_array(probs, "probability vector")
-    if p.ndim != 1 or p.size < 2:
-        raise InvalidInputError(f"expected a 1-d probability vector, got shape {p.shape}")
+    if p.size < 2:
+        raise InvalidInputError(f"expected at least 2 probabilities, got {p.size}")
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("probability vector has non-finite entries")
     if np.any(p <= 0.0):
@@ -63,7 +63,7 @@ def finite_distribution(probs) -> np.ndarray:
 def _interior(xi, sizes=(1, 2, 3)) -> np.ndarray:
     """``xi`` as a float vector of a length in ``sizes``, inside (-1, 1)^k."""
     xi = _real_array(xi, "state vector")
-    if xi.ndim != 1 or xi.size not in sizes:
+    if xi.size not in sizes:
         raise InvalidInputError(f"expected a {'/'.join(map(str, sizes))}-vector, got shape {xi.shape}")
     if not np.all(np.isfinite(xi)):
         raise InvalidInputError("non-finite component")

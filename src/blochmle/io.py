@@ -55,10 +55,12 @@ import json
 import math
 import sys
 
-from .core import CountRecord, InvalidInputError, empirical_kl, norm_squared, temporal_estimate
+from .core import CountRecord, InvalidInputError, _integer, empirical_kl, norm_squared, temporal_estimate
 from .projector import project_mle
 
 COUNTS_CSV_HEADER = ["axis", "n_plus", "n_minus"]
+# the names of a JSON counts file's axis fields, built once and not per record
+_AXIS_FIELDS = ("axes[0].axis", "axes[1].axis", "axes[2].axis")
 
 # a 3-vector at the indent of a report's top-level keys
 _VECTOR = "[\n    %s,\n    %s,\n    %s\n  ]"
@@ -81,17 +83,14 @@ def __getattr__(name):
     return value
 
 
-def _require_int(value, idx: int, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"axes[{idx}].{key}: expected an integer, got {value!r}")
-    return value
-
-
 def _parse_int(text: str, row: int, column: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
-        if text.strip().isdecimal():  # digits beyond int()'s limit: name it, not echo them
+        # int() reads a signed or grouped literal too, and refuses one with
+        # more digits than its limit in a message that names the limit and
+        # not the digits
+        if str(exc).startswith("Exceeds the limit"):
             raise InvalidInputError(f"row {row} {column}: {exc}") from None
         raise InvalidInputError(f"row {row} {column}: not an integer: {text!r}") from None
 
@@ -123,12 +122,13 @@ def parse_counts_json(text: str) -> CountRecord:
             axis, n_plus, n_minus = rec["axis"], rec["n_plus"], rec["n_minus"]
         except KeyError as exc:  # the first of the three that is missing
             raise InvalidInputError(f"axes[{idx}].{exc.args[0]}: missing field") from None
-        axis = _require_int(axis, idx, "axis")
+        axis = _integer(axis, _AXIS_FIELDS[idx])
         if axis not in (1, 2, 3):
             raise InvalidInputError(f"axes[{idx}].axis: expected 1, 2, or 3, got {axis}")
         if by_axis[axis] is not None:
             raise InvalidInputError(f"axes[{idx}].axis: duplicate axis {axis}")
-        by_axis[axis] = (_require_int(n_plus, idx, "n_plus"), _require_int(n_minus, idx, "n_minus"))
+        # CountRecord checks the counts, naming them by axis
+        by_axis[axis] = (n_plus, n_minus)
     return _record(by_axis)
 
 

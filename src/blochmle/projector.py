@@ -18,7 +18,6 @@ inside a bracket that grows and bisects in log lam (see ``_solve_lambda``).
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections import namedtuple
 
@@ -27,7 +26,8 @@ from .core import (
     SolverError,
     StokesVector,
     WeightVector,
-    _number,
+    _integer,
+    _real,
     norm_squared,
     stokes_vector,
     weight_vector,
@@ -70,17 +70,6 @@ class ProjectionResult(
     __slots__ = ()
 
 
-def _real(value, name: str) -> float:
-    """``float(value)`` for a real number, else ``InvalidInputError`` (see
-    ``cubic_solve``)."""
-    if _number(value):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-
-
 def cubic_solve(mu: float, a: float) -> float:
     """Unique root in [-1, 1] of x (1 - x^2) = mu (a - x), for finite mu > 0.
 
@@ -101,9 +90,9 @@ def cubic_solve(mu: float, a: float) -> float:
     kink mu = 2, which the multiplier solve's kink argument relies on, and
     one square root instead of the arctan, the cosine and two roots.
 
-    mu and a are floats or real numbers (ints, bools, numpy scalars and 0-d
-    arrays); text, other arrays and anything float() refuses raise
-    ``InvalidInputError``.
+    mu and a are read by core's real rule (``core._real``): floats, ints,
+    bools, fractions, numpy scalars and 0-d arrays pass; text, other arrays,
+    complex numbers and anything float() refuses raise ``InvalidInputError``.
     """
     if type(mu) is not float or type(a) is not float:
         mu = _real(mu, "mu")
@@ -336,10 +325,7 @@ def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int)
     lam_star = project_mle(xi_hat, s).lambda_star
     if lam_star is None:
         raise InvalidInputError("trajectories are only defined for points outside the unit ball")
-    try:
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        raise InvalidInputError(f"n_samples must be an integer, got {n_samples!r}") from None
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
         raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
     step = lam_star / (n_samples - 1)

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import _TEXT, CountRecord, InvalidInputError, _three_floats, norm_squared, weight_vector
+from .core import CountRecord, InvalidInputError, _integer, _three_floats, norm_squared, weight_vector
 from .infogeo import _six_outcome
 
 MODES = ("standard", "randomized")
@@ -29,20 +29,6 @@ DRAW_CHUNK = 1 << 16
 _NORM_SLACK = 1e-12
 
 
-def _integer(value, name: str) -> int:
-    """An int from an int, a numpy int or an integral float; text, fractions,
-    NaN, inf and None are refused with an ``InvalidInputError``."""
-    if not isinstance(value, _TEXT):
-        try:
-            n = int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if n == value:
-                return n
-    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-
-
 class SimulationSpec(
     namedtuple("SimulationSpec", ["xi_true", "mode", "n_shots", "weights", "seed"], defaults=(None, 0))
 ):
@@ -50,7 +36,8 @@ class SimulationSpec(
 
     ``xi_true`` is a tuple of three floats in the unit ball, ``mode`` one of
     ``MODES``, ``weights`` a weight vector (randomized mode) or None, and
-    ``n_shots`` and ``seed`` are ints.  ``n_shots`` counts measurements per
+    ``n_shots`` and ``seed`` are ints, read by core's integer rule (an integral
+    float or a bool is refused).  ``n_shots`` counts measurements per
     axis in standard mode and in total in randomized mode, where one of the
     three axes is picked each shot with the given weights.  ``xi_true``
     passes core's 3-vector rule (no text), with norm^2 <= 1 + 1e-12.

@@ -126,7 +126,9 @@ class TestCountsFormats:
         axes[idx][key] = value
         with pytest.raises(InvalidInputError) as info:
             parse_counts_json(json.dumps({"axes": axes}))
-        assert str(info.value) == f"axes[{idx}].{key}: expected an integer, got {value!r}"
+        # CountRecord checks the counts, and names them by axis
+        field = f"axes[{idx}].axis" if key == "axis" else f"axis {idx + 1} {key}"
+        assert str(info.value) == f"{field}: expected an integer, got {value!r}"
 
     @pytest.mark.parametrize("row", [1, 2, 3])
     @pytest.mark.parametrize("column", ["axis", "n_plus", "n_minus"])
@@ -341,6 +343,16 @@ class TestCliEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: row 1 n_plus: Exceeds the limit (4300 digits) for integer string conversion")
         assert "9" * 4300 not in err
+
+    @pytest.mark.parametrize("cell", ["-" + "1" * 5000, "+" + "1" * 5000, "1_" + "1" * 5000, " -" + "1" * 5000 + " "])
+    def test_signed_or_grouped_csv_count_over_4300_digits_exit_2(self, tmp_path, capsys, cell):
+        # these were "not an integer", echoing the whole cell
+        path = tmp_path / "big.csv"
+        path.write_text("axis,n_plus,n_minus\n1," + cell + ",1\n2,1,1\n3,1,1\n")
+        assert main(["estimate", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 1 n_plus: Exceeds the limit (4300 digits) for integer string conversion")
+        assert len(err) < 300
 
     def test_csv_field_over_size_limit_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
@@ -601,8 +613,11 @@ class TestCliBench:
         with pytest.raises(InvalidInputError, match="^trials must be >= 1, got 0$"):
             run_benchmark(0)
         # a TypeError from range() used to escape
-        with pytest.raises(InvalidInputError, match="^trials must be an integer, got 2.5$"):
+        with pytest.raises(InvalidInputError, match="^trials: expected an integer, got 2.5$"):
             run_benchmark(2.5)
+        # a bool was read as 1 trial
+        with pytest.raises(InvalidInputError, match="^trials: expected an integer, got True$"):
+            run_benchmark(True)
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["bench", "--trials", "1", "--seed", "-1"]) == 2

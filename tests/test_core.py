@@ -1,5 +1,7 @@
 import math
+import re
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from blochmle.core import (
     temporal_estimate,
     weight_vector,
 )
+from blochmle.projector import project_mle
 
 axis_counts = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(lambda t: sum(t) > 0)
 count_records = st.builds(
@@ -90,6 +93,20 @@ def test_fractional_count_rejected():
         CountRecord((10, 10.5, 10), (5, 5, 5))
 
 
+@pytest.mark.parametrize("count", [True, False, 10.0, np.float64(10), Fraction(10), "10"], ids=repr)
+def test_non_integer_count_rejected(count):
+    # a bool was accepted as the int it equals
+    message = rf"^axis 3 n_minus: expected an integer, got {re.escape(repr(count))}$"
+    with pytest.raises(InvalidInputError, match=message):
+        CountRecord((1, 1, 1), (1, 1, count))
+
+
+def test_numpy_integer_counts_become_ints():
+    record = CountRecord((np.int64(3), np.uint8(2), 1), (0, 1, np.int32(5)))
+    assert record == ((3, 2, 1), (0, 1, 5))
+    assert [type(n) for n in record.n_plus + record.n_minus] == [int] * 6
+
+
 @pytest.mark.parametrize(
     "n_plus, n_minus",
     [
@@ -150,10 +167,20 @@ MALFORMED = [
     [0.1, math.inf, 0.3],
     [0.1, 0.2, -math.inf],
     [10**400, 0.2, 0.3],
+    # numpy's complex numbers were read with a ComplexWarning, dropping the
+    # imaginary part
+    np.array([0.1 + 0.5j, 0, 0]),
+    np.array([0.5 + 1j, 0.25, 0.25]),
+    np.array([1 + 3j, 1, 0]),
+    [np.complex64(0.5), 0.25, 0.25],
 ]
 
 
-@pytest.mark.parametrize("constructor", [stokes_vector, weight_vector])
+def project_on_equal_weights(xi_hat):
+    return project_mle(xi_hat, (1 / 3, 1 / 3, 1 / 3))
+
+
+@pytest.mark.parametrize("constructor", [stokes_vector, weight_vector, project_on_equal_weights])
 @pytest.mark.parametrize("value", MALFORMED, ids=repr)
 def test_malformed_vectors_refused(constructor, value):
     # InvalidInputError only: never a bare TypeError or ValueError

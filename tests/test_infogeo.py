@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -82,7 +83,8 @@ class TestKlDivergence:
         lambda: fisher_metric([0.1, "x", 0.0], (0.5, 0.25, 0.25)),
         lambda: dual_coordinates(None),
         lambda: dual_coordinates([0.1j]),
-        lambda: finite_distribution([Fraction(1, 2), Fraction(1, 2)]),
+        lambda: dual_coordinates(np.array([0.1 + 0.5j])),
+        lambda: fisher_metric(np.array([0.1, 0.0, 0.0], dtype=complex), (0.5, 0.25, 0.25)),
     ],
     ids=[
         "product_text",
@@ -97,15 +99,36 @@ class TestKlDivergence:
         "fisher_word",
         "dual_none",
         "dual_complex",
-        "distribution_fraction",
+        "dual_numpy_complex",
+        "fisher_numpy_complex",
     ],
 )
 def test_text_and_ragged_input_refused(call):
-    # only arrays numpy reads as bools, ints or floats are numbers here; the
-    # first two were accepted, and words and ragged lists escaped as a bare
-    # ValueError
+    # each item is read by core's real rule; the first two were accepted,
+    # and words and ragged lists escaped as a bare ValueError
     with pytest.raises(InvalidInputError, match="needs real numbers, got "):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: finite_distribution([r(1, 2), r(1, 4), r(1, 4)]),
+        lambda r: kl_divergence([r(1, 2), r(1, 2)], [r(1, 4), r(3, 4)]),
+        lambda r: product_distribution([r(1, 2), r(-1, 4)]),
+        lambda r: randomized_distribution((r(1, 2), r(1, 4), r(1, 4)), (r(1, 10), 0, r(-3, 5))),
+        lambda r: dual_coordinates([r(1, 10), r(-1, 5), r(3, 10)]).theta,
+        lambda r: fisher_metric((r(1, 10), 0, r(-3, 5)), (r(1, 2), r(1, 4), r(1, 4))),
+    ],
+    ids=["distribution", "kl", "product", "randomized", "dual", "fisher"],
+)
+@pytest.mark.parametrize("rational", [Fraction, lambda p, q: Decimal(p) / Decimal(q)], ids=["fraction", "decimal"])
+def test_fractions_and_decimals_read_as_floats(call, rational):
+    # numpy read them as objects, and infogeo refused them while core's
+    # vectors took them
+    got = call(rational)
+    np.testing.assert_array_equal(got, call(lambda p, q: p / q))
+    assert np.asarray(got).dtype == float
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,12 +50,13 @@ def test_spec_refuses_text_and_ragged_state(xi_true):
 
 
 @pytest.mark.parametrize("field", ["n_shots", "seed"])
-@pytest.mark.parametrize("value", [7.5, "7", math.nan, math.inf, None])
+@pytest.mark.parametrize("value", [7.5, "7", math.nan, math.inf, None, 3000.0, 1.0, np.float64(5), Fraction(4), True])
 def test_spec_refuses_non_integers(field, value):
     # 7.5 used to become 7 and "7" to pass; NaN, inf and None escaped as a
-    # ValueError, an OverflowError and a TypeError
+    # ValueError, an OverflowError and a TypeError; an integral float, a
+    # Fraction and a bool passed as the int they equal
     kwargs = {"xi_true": (0.1, 0.0, 0.0), "mode": "standard", "n_shots": 10, "seed": 0, field: value}
-    with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
+    with pytest.raises(InvalidInputError, match=f"^{field}: expected an integer, got "):
         SimulationSpec(**kwargs)
 
 
@@ -198,8 +200,11 @@ def test_sweep_refuses_seeds_per_n_below_1():
     with pytest.raises(InvalidInputError, match="^seeds_per_n must be >= 1, got 0$"):
         consistency_errors(seeds_per_n=0)
     # a TypeError from range() used to escape
-    with pytest.raises(InvalidInputError, match="^seeds_per_n must be an integer, got 2.5$"):
+    with pytest.raises(InvalidInputError, match="^seeds_per_n: expected an integer, got 2.5$"):
         consistency_errors(seeds_per_n=2.5)
+    # a bool was read as 1 seed
+    with pytest.raises(InvalidInputError, match="^seeds_per_n: expected an integer, got True$"):
+        consistency_errors(seeds_per_n=True)
 
 
 @pytest.mark.parametrize("n_values", [(), (100,), (100, 100)])
