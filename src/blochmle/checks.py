@@ -2,7 +2,11 @@
 subcommand, the timing battery behind ``bench``, and the error-versus-N
 sweep (``consistency_errors``) behind ``sweep``.
 
-Each battery fixes its own size and takes only a seed.  A numeric battery
+Each battery fixes its own size and takes only a seed.  Every seed here,
+a battery's, ``run_benchmark``'s and ``consistency_errors``' base seed, is
+read by core's seed rule (0 <= seed < 2**64): numpy's generator is made in
+one place, ``_rng``, and the simulator batteries pass theirs to
+``SimulationSpec``.  Their sizes are read by core's size rule.  A numeric battery
 yields one defect per instance it checks, and its gate compares their
 maximum, NaN if any of them is NaN, so a NaN defect fails its gate; a
 yes/no battery returns whether its property held.  ``GATES`` holds one row
@@ -34,7 +38,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import InvalidInputError, _integer, empirical_kl, norm_squared, temporal_estimate
+from .core import InvalidInputError, _at_least, _seed, empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
     _log_partition,
     canonical_divergence,
@@ -80,6 +84,12 @@ def _battery(defects):
 
 # --- samplers -------------------------------------------------------------
 
+def _rng(seed):
+    """numpy's generator for ``seed``, read by core's seed rule: the one
+    draw of every battery and of ``run_benchmark``."""
+    return np.random.default_rng(_seed(seed))
+
+
 def interior_point(rng, k=3, bound=0.99):
     return rng.uniform(-bound, bound, k)
 
@@ -106,7 +116,7 @@ def sphere_point(rng):
 @_battery
 def gibbs_defect(seed=0):
     """Worst violation of kl >= 0 (equality only at p = q)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(200):
         size = int(rng.integers(2, 7))
         p = rng.random(size) + 0.05
@@ -119,7 +129,7 @@ def gibbs_defect(seed=0):
 @_battery
 def canonical_kl_defect(seed=0):
     """Max |potential-based divergence - outcome-sum KL| over k in {1,2,3}."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for k in (1, 2, 3):
         for _ in range(1000):
             p_xi = interior_point(rng, k)
@@ -131,7 +141,7 @@ def canonical_kl_defect(seed=0):
 @_battery
 def marginal_decomposition_defect(seed=0):
     """6-outcome KL at shared weights vs the weighted sum of binary KLs."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(100):
         s = random_weights(rng)
         xi_p = interior_point(rng)
@@ -145,7 +155,7 @@ def marginal_decomposition_defect(seed=0):
 def pythagorean_defect(seed=0):
     """Additivity D(p_hat||p) = D(p_hat||mid) + D(mid||p) across the
     weight/state foliation, for random weights and states on both sides."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(100):
         s_hat, s = random_weights(rng), random_weights(rng)
         xi_hat, xi = interior_point(rng), interior_point(rng)
@@ -184,7 +194,7 @@ def _fisher_samples(seed):
     """100 random interior points with random weights, each as (s, xi, the
     ``_fisher_rows`` there): one stream for the Fisher metric's gate and
     the foliation's."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(100):
         s = random_weights(rng)
         xi = interior_point(rng, bound=0.95)
@@ -202,7 +212,7 @@ def fisher_agreement_defect(seed=0):
 @_battery
 def legendre_defect(seed=0):
     """|eta_i - d psi / d theta_i| by central differences."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(100):
         coords = dual_coordinates(interior_point(rng))
         for i in range(3):
@@ -222,7 +232,7 @@ def foliation_defect(seed=0):
 def _exterior_projections(seed):
     """Random exterior inputs with random weights, without end: each as
     (xi_hat, s, its projection)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     while True:
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
@@ -271,7 +281,7 @@ def projection_orthogonality_defect(seed=0):
 def projection_optimality_defect(seed=0):
     """How much a random sphere point ever beats the projected estimate in
     empirical KL (positive would contradict global optimality)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(20):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
@@ -283,7 +293,7 @@ def projection_optimality_defect(seed=0):
 @_battery
 def equivariance_defect(seed=0):
     """Axis permutations permute the answer; sign flips flip it."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(100):
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
@@ -376,9 +386,9 @@ def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, bas
     so that every valid base seed gives valid seeds.  The slopes need at
     least two distinct shot counts.
     """
-    seeds_per_n = _integer(seeds_per_n, "seeds_per_n")
-    if seeds_per_n < 1:
-        raise InvalidInputError(f"seeds_per_n must be >= 1, got {seeds_per_n}")
+    seeds_per_n = _at_least(seeds_per_n, "seeds_per_n", 1)
+    base_seed = _seed(base_seed, "base_seed")
+    n_values = tuple(_at_least(n, "n_values", 1) for n in n_values)
     if len(set(n_values)) < 2:
         raise InvalidInputError(f"need at least 2 distinct shot counts, got {n_values!r}")
     errors = {}
@@ -411,7 +421,7 @@ def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, bas
 def median_slope_defect(seed=0) -> float:
     """|median-error slope + 1/2| of ``consistency_errors`` at its default
     size."""
-    return abs(consistency_errors(base_seed=seed)["median_slope"] + 0.5)
+    return abs(consistency_errors(base_seed=_seed(seed))["median_slope"] + 0.5)
 
 
 # --- timing battery ----------------------------------------------------------
@@ -453,10 +463,8 @@ def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
     discrepancy between the two answers.  Absolute times are
     machine-dependent; the reproducible claim is the ordering.
     """
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    trials = _at_least(trials, "trials", 1)
+    rng = _rng(seed)
     weights = np.asarray(EQUAL_WEIGHTS)
     rows: list[BenchTrial] = []
     for index in range(trials):
@@ -510,7 +518,12 @@ GATES = (
 )
 
 def run_gates(suites, seed=0) -> list[CheckOutcome]:
-    """The outcomes of the rows of ``suites``, in table order."""
+    """The outcomes of the rows of ``suites``, in table order; a name that
+    no row has is refused, so a bare string, read letter by letter, is too."""
+    names = [suite for suite, _, _, _ in GATES]
+    for suite in suites:
+        if suite not in names:
+            raise InvalidInputError(f"unknown suite {suite!r}, expected one of {sorted(set(names))}")
     outcomes = []
     for suite, name, battery, bound in GATES:
         if suite in suites:

@@ -8,7 +8,8 @@ codes: 0 success, 1 failed invariant, 2 bad input, 3 internal numerical
 failure or, in ``bench`` and ``estimate --oracle``, a projector and direct
 search that disagree.  A rule on an argument that a library function
 already enforces is left to that function; its ``InvalidInputError`` exits
-2.
+2.  So is every ``--seed``: argparse reads it as an int, and the function
+that draws from it refuses one outside [0, 2**64) by core's seed rule.
 
 The modules that need numpy (simulator, checks) are imported inside
 the subcommands that use them, so neither ``trajectories`` nor an
@@ -25,7 +26,7 @@ import argparse
 import math
 import sys
 
-from .core import InvalidInputError, SolverError, norm_squared, weight_vector
+from .core import InvalidInputError, SolverError, _at_least, norm_squared, weight_vector
 from .io import (
     build_estimate_report,
     counts_to_csv,
@@ -82,17 +83,6 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
         return tuple(float(p) for p in parts)
     except ValueError:
         raise InvalidInputError(f"{flag}: not numeric: {text!r}") from None
-
-
-def _seed(text: str) -> int:
-    # the rule SimulationSpec enforces, applied to every --seed at parse time
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
 
 
 def _parse_weights(text: str, flag: str) -> tuple[float, float, float]:
@@ -168,15 +158,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
-    if args.grid < 1:
-        raise InvalidInputError(f"--grid must be >= 1, got {args.grid}")
+    grid = _at_least(args.grid, "--grid", 1)
     weights = _parse_weights(args.s, "--s")
     u_axis, v_axis, _ = PLANES[args.plane]
     # the points numpy.linspace(-1, 1, grid) places: k * step - 1, and 1 last
     lattice = [-1.0]
-    if args.grid > 1:
-        step = 2.0 / (args.grid - 1)
-        lattice = [k * step - 1.0 for k in range(args.grid - 1)] + [1.0]
+    if grid > 1:
+        step = 2.0 / (grid - 1)
+        lattice = [k * step - 1.0 for k in range(grid - 1)] + [1.0]
 
     # projection_trajectory refuses --samples below 2 at the first start
     # point, (-1, -1), which is always outside the ball
@@ -241,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["standard", "randomized"], default="standard")
     p.add_argument("--N", type=int, required=True, help="shots per axis (standard) or total (randomized)")
     p.add_argument("--s", default=None, help="axis weight ratios a,b,c, normalized (randomized mode)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", help="time projection vs direct search")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench)
 
@@ -262,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="estimation error vs shot count (CSV)")
     p.add_argument("--seeds", type=int, default=100, help="simulated experiments per shot count")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check", help="run seeded invariant suites")
     p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -14,7 +14,10 @@ integral float does not (``_integer``).  A real number is anything
 ``float()`` reads except text, arrays and complex numbers; bools,
 ``Fraction`` and ``Decimal`` pass (``_number``, then ``float()``: ``_real``
 for a scalar, ``_three_floats`` for a 3-vector).  Either rule raises
-``InvalidInputError``, never a ``TypeError`` or a numpy warning.
+``InvalidInputError``, never a ``TypeError`` or a numpy warning.  Two
+rules narrow the integer one: a seed lies in [0, 2**64) (``_seed``), and a
+size such as a shot count, a trial count or a sample count is no smaller
+than its least value (``_at_least``).
 
 One record's estimate is three numbers, so its path (this module, the
 projector's solve and the report) works in plain floats and never imports
@@ -67,6 +70,22 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise InvalidInputError(f"{name}: expected an integer, got {value!r}")
+
+
+def _seed(value, name: str = "seed") -> int:
+    """A seed by ``_integer``, with 0 <= seed < 2**64, else ``InvalidInputError``."""
+    seed = _integer(value, name)
+    if not 0 <= seed < 2**64:
+        raise InvalidInputError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
+def _at_least(value, name: str, least: int) -> int:
+    """A size by ``_integer``, no smaller than ``least``, else ``InvalidInputError``."""
+    n = _integer(value, name)
+    if n < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 class CountRecord(namedtuple("CountRecord", ["n_plus", "n_minus"])):

@@ -26,7 +26,7 @@ from .core import (
     SolverError,
     StokesVector,
     WeightVector,
-    _integer,
+    _at_least,
     _real,
     norm_squared,
     stokes_vector,
@@ -325,9 +325,7 @@ def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int)
     lam_star = project_mle(xi_hat, s).lambda_star
     if lam_star is None:
         raise InvalidInputError("trajectories are only defined for points outside the unit ball")
-    n_samples = _integer(n_samples, "n_samples")
-    if n_samples < 2:
-        raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
+    n_samples = _at_least(n_samples, "n_samples", 2)
     step = lam_star / (n_samples - 1)
     lams = [k * step for k in range(n_samples - 1)] + [lam_star]
     return tuple(tuple(_evaluate(lam, s, xi_hat)[4]) for lam in lams)

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import CountRecord, InvalidInputError, _integer, _three_floats, norm_squared, weight_vector
+from .core import CountRecord, InvalidInputError, _at_least, _seed, _three_floats, norm_squared, weight_vector
 from .infogeo import _six_outcome
 
 MODES = ("standard", "randomized")
@@ -36,8 +36,9 @@ class SimulationSpec(
 
     ``xi_true`` is a tuple of three floats in the unit ball, ``mode`` one of
     ``MODES``, ``weights`` a weight vector (randomized mode) or None, and
-    ``n_shots`` and ``seed`` are ints, read by core's integer rule (an integral
-    float or a bool is refused).  ``n_shots`` counts measurements per
+    ``n_shots`` and ``seed`` are ints, read by core's size rule (at least 1)
+    and seed rule (0 <= seed < 2**64); an integral float or a bool is
+    refused.  ``n_shots`` counts measurements per
     axis in standard mode and in total in randomized mode, where one of the
     three axes is picked each shot with the given weights.  ``xi_true``
     passes core's 3-vector rule (no text), with norm^2 <= 1 + 1e-12.
@@ -53,18 +54,14 @@ class SimulationSpec(
             raise InvalidInputError(f"xi_true must lie in the unit ball, got norm^2 = {norm_squared(xi)}")
         if mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
-        n_shots = _integer(n_shots, "n_shots")
-        if n_shots < 1:
-            raise InvalidInputError(f"n_shots must be >= 1, got {n_shots}")
+        n_shots = _at_least(n_shots, "n_shots", 1)
         if mode == "randomized":
             if weights is None:
                 raise InvalidInputError("randomized mode needs axis weights")
             weights = weight_vector(weights)
         elif weights is not None:
             raise InvalidInputError("standard mode takes no weights (every axis gets n_shots)")
-        seed = _integer(seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        seed = _seed(seed)
         return super().__new__(cls, xi, mode, n_shots, weights, seed)
 
     @classmethod

@@ -25,6 +25,7 @@ from blochmle.io import (
     report_to_json,
 )
 from blochmle.projector import ProjectionResult
+from blochmle.simulator import SimulationSpec
 
 RECORD = CountRecord((80, 50, 65), (20, 50, 35))
 
@@ -684,8 +685,18 @@ class TestCliTrajectories:
         # projection_trajectory refuses it at the first start point
         out = tmp_path / "traj.csv"
         assert main(["trajectories", "--samples", "1", "--out", str(out)]) == 2
-        assert "error: need at least 2 samples, got 1" in capsys.readouterr().err
+        assert "error: n_samples must be >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+# every library entry point that takes a seed, by name: each battery of the
+# gate table but the one with a fixed grid, then the three that callers use
+SEED_TAKERS = {
+    **{battery.__name__: battery for _, _, battery, _ in GATES if battery is not checks.cubic_grid_residuals},
+    "run_benchmark": lambda seed: run_benchmark(1, seed=seed),
+    "consistency_errors": lambda seed: checks.consistency_errors(base_seed=seed),
+    "SimulationSpec": lambda seed: SimulationSpec(xi_true=(0.1, 0.0, 0.0), mode="standard", n_shots=10, seed=seed),
+}
 
 
 class TestCliCheck:
@@ -706,6 +717,23 @@ class TestCliCheck:
         # numpy's ValueError used to escape as exit 1, the failed-invariant code
         assert main(["check", "--suite", "infogeo", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suites", [("bogus",), ("infogeo", "bogus"), "projector"])
+    def test_run_gates_refuses_unknown_suites(self, suites):
+        # a typo used to run no gate and return []; a bare string is read
+        # letter by letter, and "projector" used to run its rows by substring
+        with pytest.raises(InvalidInputError, match="^unknown suite "):
+            checks.run_gates(suites, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize("name", SEED_TAKERS)
+    def test_every_seed_is_read_by_the_seed_rule(self, name, seed):
+        # the battery draws and run_benchmark's went to numpy's default_rng,
+        # which raised a ValueError or TypeError, or took True and 2**64;
+        # consistency_errors took a negative base seed and blamed 1.5 on seed
+        param = "base_seed" if name == "consistency_errors" else "seed"
+        with pytest.raises(InvalidInputError, match=f"^{param}(: expected an integer| must be a 64-bit unsigned integer), got "):
+            SEED_TAKERS[name](seed)
 
     def test_every_suite_is_accepted(self):
         parser = build_parser()

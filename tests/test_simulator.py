@@ -205,6 +205,11 @@ def test_sweep_refuses_seeds_per_n_below_1():
     # a bool was read as 1 seed
     with pytest.raises(InvalidInputError, match="^seeds_per_n: expected an integer, got True$"):
         consistency_errors(seeds_per_n=True)
+    # each shot count was read by SimulationSpec, which blamed n_shots
+    with pytest.raises(InvalidInputError, match="^n_values: expected an integer, got 100.0$"):
+        consistency_errors(n_values=(100.0, 1000.0))
+    with pytest.raises(InvalidInputError, match="^n_values must be >= 1, got 0$"):
+        consistency_errors(n_values=(0, 100))
 
 
 @pytest.mark.parametrize("n_values", [(), (100,), (100, 100)])
