@@ -35,7 +35,7 @@ from .io import (
     parse_counts,
     report_to_json,
 )
-from .projector import projection_trajectory
+from .projector import _linspace, projection_trajectory
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -161,11 +161,7 @@ def _cmd_trajectories(args) -> int:
     grid = _at_least(args.grid, "--grid", 1)
     weights = _parse_weights(args.s, "--s")
     u_axis, v_axis, _ = PLANES[args.plane]
-    # the points numpy.linspace(-1, 1, grid) places: k * step - 1, and 1 last
-    lattice = [-1.0]
-    if grid > 1:
-        step = 2.0 / (grid - 1)
-        lattice = [k * step - 1.0 for k in range(grid - 1)] + [1.0]
+    lattice = _linspace(-1.0, 1.0, grid)
 
     # projection_trajectory refuses --samples below 2 at the first start
     # point, (-1, -1), which is always outside the ball

@@ -4,20 +4,24 @@ A Stokes vector is a tuple of three Python floats with components in
 [-1, 1]; a weight vector holds the per-axis measurement fractions, positive
 and summing to 1.  The validating constructors below are the single place
 those conventions are enforced, so downstream numerics can assume them.
-They accept any 3-sequence of real numbers (lists, tuples, numpy arrays and
-numpy scalars) and return plain floats.
+They accept any iterable of three real numbers but text (lists, tuples,
+numpy arrays of shape (3,)) and return plain floats.
 
 Every module reads a library value by one of two rules kept here.  An
 integer (a count, a shot count, a seed, a size) is read by
 ``operator.index``, with bools refused: ints and numpy ints pass, and an
-integral float does not (``_integer``).  A real number is anything
-``float()`` reads except text, arrays and complex numbers; bools,
-``Fraction`` and ``Decimal`` pass (``_number``, then ``float()``: ``_real``
-for a scalar, ``_three_floats`` for a 3-vector).  Either rule raises
-``InvalidInputError``, never a ``TypeError`` or a numpy warning.  Two
-rules narrow the integer one: a seed lies in [0, 2**64) (``_seed``), and a
-size such as a shot count, a trial count or a sample count is no smaller
-than its least value (``_at_least``).
+integral float does not (``_integer``).  A real number is a finite float
+as ``float()`` reads it, from anything but text, arrays and complex
+numbers: bools, ``Fraction``, ``Decimal`` and numpy scalars pass, and an
+int beyond the float range is refused as non-finite (``_real``).  Every
+vector, the 3-vectors here and the vectors and distributions of
+``infogeo``, is read by one reader, ``_floats``: any iterable but text,
+each item by the real rule, into a tuple of floats; ``_three_floats`` adds
+the length check of a 3-vector.  Either rule raises ``InvalidInputError``,
+never a ``TypeError`` or a numpy warning, and a real's refusal names its
+type, never its digits.  Two rules narrow the integer one: a seed lies in
+[0, 2**64) (``_seed``), and a size such as a shot count, a trial count or
+a sample count is no smaller than its least value (``_at_least``).
 
 One record's estimate is three numbers, so its path (this module, the
 projector's solve and the report) works in plain floats and never imports
@@ -124,16 +128,6 @@ class CountRecord(namedtuple("CountRecord", ["n_plus", "n_minus"])):
         return tuple(p + m for p, m in zip(self.n_plus, self.n_minus))
 
 
-def _shape(values) -> tuple:
-    """The shape numpy would give ``values``, for error messages."""
-    shape = getattr(values, "shape", None)
-    if shape is not None:
-        return tuple(shape)
-    if isinstance(values, _TEXT) or not hasattr(values, "__len__"):
-        return ()
-    return (len(values),) + (_shape(values[0]) if len(values) else ())
-
-
 def _number(value) -> bool:
     """Not text, nor an array, which float() reads if it has one element
     (numpy < 2), nor a numpy complex, which float() reads with a
@@ -145,47 +139,56 @@ def _number(value) -> bool:
 
 
 def _real(value, name: str) -> float:
-    """``float(value)`` for a real number, else ``InvalidInputError``: ints,
-    bools, floats, ``Fraction``, ``Decimal``, numpy scalars and 0-d arrays
-    pass; text, other arrays, complex numbers and None are refused."""
-    if _number(value):
+    """``float(value)`` for a finite real number, else ``InvalidInputError``:
+    ints, bools, floats, ``Fraction``, ``Decimal``, numpy scalars and 0-d
+    arrays pass; text, other arrays, complex numbers, None, NaN, infinities
+    and ints beyond the float range are refused.  A refusal names at most
+    the type of ``value``, never its digits: an int of more than 4,300
+    digits has no ``str()``."""
+    try:
+        if not _number(value):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a real number, got {type(value).__name__}") from None
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidInputError(f"{name} must be a real number, got a non-finite one")
+    return number
+
+
+def _floats(values, what: str) -> tuple:
+    """The items of ``values`` as a tuple of floats, item ``i`` (from 1) read
+    by ``_real`` as ``<what> component <i>``, else ``InvalidInputError``.
+    Text, whose items are characters or ints, and what is not iterable are
+    refused as a whole."""
+    if not isinstance(values, _TEXT):
         try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
+            items = enumerate(values, 1)
+        except TypeError:  # not iterable
             pass
-    raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+        else:
+            return tuple([_real(x, f"{what} component {i}") for i, x in items])
+    raise InvalidInputError(f"{what} needs real numbers, got {type(values).__name__}")
 
 
 def _three_floats(values, what: str) -> tuple[float, float, float]:
-    """Three finite Python floats from a 3-sequence of real numbers, else ``InvalidInputError``.
+    """Three finite Python floats by ``_floats``, else ``InvalidInputError``.
 
-    A plain tuple of three plain floats, which is what ``temporal_estimate``
-    and this function return, needs only the finiteness test and comes back
-    as it is.  Any other input (float subclasses such as ``np.float64``,
-    ints, bools, namedtuples, lists, arrays) is converted item by item."""
+    A plain tuple of three finite plain floats, which is what
+    ``temporal_estimate`` and this function return, comes back as it is
+    after the finiteness test alone.  Anything else (float subclasses such
+    as ``np.float64``, ints, bools, namedtuples, lists, arrays, and a plain
+    tuple with a non-finite float) goes through ``_floats``."""
     if (type(values) is tuple and len(values) == 3
             and type(values[0]) is float and type(values[1]) is float and type(values[2]) is float):
         a, b, c = values
-    else:
-        try:
-            a, b, c = values
-            # bytes unpack into ints, and a (3, 1) array into 1-element arrays
-            numbers = (not isinstance(values, _TEXT) and getattr(values, "shape", (3,)) == (3,)
-                       and _number(a) and _number(b) and _number(c))
-            if numbers:
-                a, b, c = float(a), float(b), float(c)
-        except (TypeError, ValueError):
-            numbers = False
-        except OverflowError:  # an int beyond the float range
-            raise InvalidInputError(f"{what} has non-finite components") from None
-        if not numbers:
-            shape = _shape(values)
-            if shape != (3,) and not isinstance(values, _TEXT):
-                raise InvalidInputError(f"{what} needs 3 components, got shape {shape}")
-            raise InvalidInputError(f"{what} needs 3 real numbers, got {values!r}")
-        values = a, b, c
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise InvalidInputError(f"{what} has non-finite components")
+        if math.isfinite(a) and math.isfinite(b) and math.isfinite(c):
+            return values
+    values = _floats(values, what)
+    if len(values) != 3:
+        raise InvalidInputError(f"{what} needs 3 components, got shape {(len(values),)}")
     return values
 
 

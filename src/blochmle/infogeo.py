@@ -19,7 +19,10 @@ divergence, which is what `canonical_divergence` lets tests verify.
 
 The module holds these closed forms only.  The numeric derivatives that
 check them against the model, the score covariance behind the Fisher
-metric and the theta-gradient of psi, live in ``checks``.
+metric and the theta-gradient of psi, live in ``checks``.  Every vector
+and distribution it takes is read by core's vector reader (``_floats``),
+then checked for its length, range and, for a distribution, a sum within
+core's ``WEIGHT_SUM_TOL`` of 1.
 """
 
 from __future__ import annotations
@@ -28,45 +31,27 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import _TEXT, InvalidInputError, StokesVector, WeightVector, _real, weight_vector
-
-PROB_SUM_TOL = 1e-12
-
-
-def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a 1-d float array, each item read by core's real rule
-    (``Fraction`` and ``Decimal`` too); text, None, complex numbers, bare
-    numbers and nested or ragged sequences are refused."""
-    if not isinstance(values, _TEXT):  # bytes would unpack into ints
-        try:
-            return np.array([_real(x, what) for x in values])
-        except (TypeError, InvalidInputError):  # not iterable, or an item is no real number
-            pass
-    raise InvalidInputError(f"{what} needs real numbers, got {values!r}")
+from .core import WEIGHT_SUM_TOL, InvalidInputError, StokesVector, WeightVector, _floats, weight_vector
 
 
 def finite_distribution(probs) -> np.ndarray:
     """Validate a probability vector on the open simplex: a 1-d float array
     of at least 2 strictly positive entries summing to 1."""
-    p = _real_array(probs, "probability vector")
+    p = np.array(_floats(probs, "probability vector"))
     if p.size < 2:
         raise InvalidInputError(f"expected at least 2 probabilities, got {p.size}")
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError("probability vector has non-finite entries")
     if np.any(p <= 0.0):
         raise InvalidInputError("probability vector must be strictly positive")
-    if abs(p.sum() - 1.0) > PROB_SUM_TOL:
+    if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidInputError(f"probabilities must sum to 1 (got {p.sum()!r})")
     return p
 
 
 def _interior(xi, sizes=(1, 2, 3)) -> np.ndarray:
     """``xi`` as a float vector of a length in ``sizes``, inside (-1, 1)^k."""
-    xi = _real_array(xi, "state vector")
+    xi = np.array(_floats(xi, "state vector"))
     if xi.size not in sizes:
         raise InvalidInputError(f"expected a {'/'.join(map(str, sizes))}-vector, got shape {xi.shape}")
-    if not np.all(np.isfinite(xi)):
-        raise InvalidInputError("non-finite component")
     if np.any(np.abs(xi) >= 1.0):
         raise InvalidInputError(f"components must lie strictly inside (-1, 1), got {xi.tolist()}")
     return xi

@@ -92,7 +92,8 @@ def cubic_solve(mu: float, a: float) -> float:
 
     mu and a are read by core's real rule (``core._real``): floats, ints,
     bools, fractions, numpy scalars and 0-d arrays pass; text, other arrays,
-    complex numbers and anything float() refuses raise ``InvalidInputError``.
+    complex numbers, anything float() refuses and anything not finite (an
+    int beyond the float range too) raise ``InvalidInputError``.
     """
     if type(mu) is not float or type(a) is not float:
         mu = _real(mu, "mu")
@@ -313,19 +314,25 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
     return ProjectionResult(tuple(x), True, lam, abs(norm_squared(x) - 1.0), tuple(residuals), evaluations)
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """The ``n`` >= 1 points ``numpy.linspace(lo, hi, n)`` places, without
+    numpy: k * ((hi - lo) / (n - 1)) + lo for k < n - 1, and ``hi`` last."""
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [k * step + lo for k in range(n - 1)] + [hi]
+
+
 def projection_trajectory(xi_hat: StokesVector, s: WeightVector, n_samples: int) -> tuple:
     """Solution curve lam -> x(lam * s_i, xihat_i), sampled from the origin
     (lam = 0) to the projected point (lam = lam*): a tuple of ``n_samples``
-    3-tuples of floats.  Sample k is at lam = k * (lam* / (n_samples - 1))
-    and the last at lam* itself, as ``numpy.linspace`` places them.  The
-    roots come from ``_evaluate``, the kernel of the lam solve, so a
-    lam * s_i that underflows gives the root 0."""
+    3-tuples of floats, at the multipliers ``_linspace(0, lam*,
+    n_samples)``.  The roots come from ``_evaluate``, the kernel of the lam
+    solve, so a lam * s_i that underflows gives the root 0."""
     xi_hat = stokes_vector(xi_hat)
     s = weight_vector(s)
     lam_star = project_mle(xi_hat, s).lambda_star
     if lam_star is None:
         raise InvalidInputError("trajectories are only defined for points outside the unit ball")
     n_samples = _at_least(n_samples, "n_samples", 2)
-    step = lam_star / (n_samples - 1)
-    lams = [k * step for k in range(n_samples - 1)] + [lam_star]
-    return tuple(tuple(_evaluate(lam, s, xi_hat)[4]) for lam in lams)
+    return tuple(tuple(_evaluate(lam, s, xi_hat)[4]) for lam in _linspace(0.0, lam_star, n_samples))

@@ -1,5 +1,6 @@
 import collections
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -24,7 +25,7 @@ from blochmle.io import (
     parse_counts_json,
     report_to_json,
 )
-from blochmle.projector import ProjectionResult
+from blochmle.projector import ProjectionResult, _linspace
 from blochmle.simulator import SimulationSpec
 
 RECORD = CountRecord((80, 50, 65), (20, 50, 35))
@@ -172,6 +173,35 @@ def seeded_records(seed: int, n: int):
         yield CountRecord(tuple(int(k) for k in n_plus), tuple(int(k) for k in shots - n_plus))
 
 
+# RECORD has equal totals and xi_hat = (0.6, 0.0, 0.3); the last two are
+# unprojected with only one of those: equal totals, then a 0.0
+NAMED_RECORDS = {
+    "interior": RECORD,
+    "projected": CountRecord((90, 90, 90), (10, 10, 10)),
+    "component_at_1": CountRecord((100, 65, 50), (0, 35, 50)),
+    "interior_equal_totals": CountRecord((7, 2, 6), (3, 8, 4)),
+    "interior_zero_component": CountRecord((30, 10, 45), (10, 10, 55)),
+}
+
+# The report corpus: one line per record of NAMED_RECORDS, then of
+# seeded_records(7, 400), each its six counts (n_plus, then n_minus) and the
+# SHA-256 of its report, which has no oracle block.  The counts are stored,
+# not drawn, so a change to numpy's random streams does not move the corpus.
+REPORT_DIGESTS = Path(__file__).with_name("report_digests.txt")
+
+
+def report_digest(report_text: str) -> str:
+    return hashlib.sha256(report_text.encode()).hexdigest()
+
+
+def write_report_digests():
+    lines = []
+    for record in [*NAMED_RECORDS.values(), *seeded_records(7, 400)]:
+        report = report_to_json(build_estimate_report(record))
+        lines.append(" ".join(map(str, record.n_plus + record.n_minus)) + " " + report_digest(report) + "\n")
+    REPORT_DIGESTS.write_text("".join(lines))
+
+
 class TestJsonWriter:
     """reports and counts files are byte-identical to json.dumps(indent=2)"""
 
@@ -186,22 +216,24 @@ class TestJsonWriter:
             kinds[report["was_projected"], s1 == s2 == s3] += 1
         assert len(kinds) == 4 and min(kinds.values()) > 50
 
-    @pytest.mark.parametrize(
-        "record",
-        [
-            RECORD,
-            CountRecord((90, 90, 90), (10, 10, 10)),
-            CountRecord((100, 65, 50), (0, 35, 50)),
-            CountRecord((7, 2, 6), (3, 8, 4)),
-            CountRecord((30, 10, 45), (10, 10, 55)),
-        ],
-        # RECORD has equal totals and xi_hat = (0.6, 0.0, 0.3); the last two
-        # are unprojected with only one of those: equal totals, then a 0.0
-        ids=["interior", "projected", "component_at_1", "interior_equal_totals", "interior_zero_component"],
-    )
+    @pytest.mark.parametrize("record", NAMED_RECORDS.values(), ids=list(NAMED_RECORDS))
     def test_named_reports(self, record):
         report = build_estimate_report(record)
         assert report_to_json(report) == as_json_dumps(report)
+
+    def test_report_digests(self):
+        """Every report of the corpus in ``report_digests.txt`` has the
+        bytes it had when the corpus was written.  After a deliberate change
+        to the report bytes, regenerate the file with
+        ``PYTHONPATH=src python tests/test_cli.py``."""
+        lines = REPORT_DIGESTS.read_text().splitlines()
+        assert len(lines) == len(NAMED_RECORDS) + 400
+        for number, line in enumerate(lines, 1):
+            *counts, digest = line.split()
+            counts = [int(n) for n in counts]
+            record = CountRecord(tuple(counts[:3]), tuple(counts[3:]))
+            report = report_to_json(build_estimate_report(record))
+            assert report_digest(report) == digest, f"line {number}, {record}, report:\n{report}"
 
     def test_report_with_oracle(self):
         # RECORD is unprojected; the third record, xi_hat = (1, 1, 0) with
@@ -663,6 +695,17 @@ class TestCliTrajectories:
 
         assert xi1_displacement("5,1,1") < xi1_displacement("1,1,1")
 
+    @pytest.mark.parametrize("grid", range(1, 14))
+    def test_lattice_is_numpy_linspace(self, grid, monkeypatch, capsys):
+        # the start points are the pairs (u, v) of numpy.linspace(-1, 1,
+        # grid) that lie outside the ball; --grid 1 is the one point (-1, -1)
+        starts = []
+        monkeypatch.setattr("blochmle.cli.projection_trajectory", lambda start, s, n: starts.append(start) or ())
+        assert self._rows(capsys, "--grid", str(grid)) == []
+        lattice = np.linspace(-1, 1, grid).tolist()
+        assert _linspace(-1.0, 1.0, grid) == lattice
+        assert starts == [[u, v, 0.0] for u in lattice for v in lattice if u * u + v * v > 1.0]
+
     def test_unknown_plane_exit_2(self):
         assert main(["trajectories", "--plane", "bogus"]) == 2
 
@@ -832,3 +875,7 @@ class TestCliCheck:
         fake = fisher_rows_set(FOLIATION_BLOCK, math.nan, every=2) if name == "_fisher_rows" else nan_on_second_call
         monkeypatch.setattr(checks, name, fake(getattr(checks, name)))
         assert math.isnan(battery(1))
+
+
+if __name__ == "__main__":
+    write_report_digests()

@@ -85,6 +85,12 @@ class TestKlDivergence:
         lambda: dual_coordinates([0.1j]),
         lambda: dual_coordinates(np.array([0.1 + 0.5j])),
         lambda: fisher_metric(np.array([0.1, 0.0, 0.0], dtype=complex), (0.5, 0.25, 0.25)),
+        # ints beyond the float range; above 4300 digits, printing one in
+        # the refusal raised a plain ValueError
+        lambda: dual_coordinates([10**5000]),
+        lambda: dual_coordinates([10**400]),
+        lambda: finite_distribution([0.5, 10**5000]),
+        lambda: product_distribution([0.1, [10**5000]]),
     ],
     ids=[
         "product_text",
@@ -101,13 +107,21 @@ class TestKlDivergence:
         "dual_complex",
         "dual_numpy_complex",
         "fisher_numpy_complex",
+        "dual_huge_int",
+        "dual_int_beyond_floats",
+        "distribution_huge_int",
+        "product_ragged_huge_int",
     ],
 )
 def test_text_and_ragged_input_refused(call):
     # each item is read by core's real rule; the first two were accepted,
-    # and words and ragged lists escaped as a bare ValueError
-    with pytest.raises(InvalidInputError, match="needs real numbers, got "):
+    # and words and ragged lists escaped as a bare ValueError.  The refusal
+    # names the vector, or the component and its type, never the digits of
+    # an int
+    message = r"^(probability|state) vector (needs real numbers|component \d must be a real number), got "
+    with pytest.raises(InvalidInputError, match=message) as caught:
         call()
+    assert len(str(caught.value)) < 300
 
 
 @pytest.mark.parametrize(

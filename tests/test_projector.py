@@ -192,11 +192,14 @@ class TestCubicSolve:
             cubic_solve(math.inf, 0.5)
         # text, arrays and what float() refuses
         for mu, a in [("0.5", 0.3), (b"2", 0.5), (0.5, "0.3"), (np.array([0.5]), 0.3), (None, 0.3),
-                      ([1], 0.3), (1j, 0.3), (10**400, 0.3), (0.5, np.array([[0.3]])),
+                      ([1], 0.3), (1j, 0.3), (10**400, 0.3), (10**5000, 0.3), (0.5, 10**5000),
+                      ([10**5000], 0.3), (0.5, np.array([[0.3]])),
                       # numpy's complex was read with a ComplexWarning, dropping the imaginary part
                       (np.complex128(0.5 + 2j), 0.3), (0.5, np.complex64(0.3)), (np.array(0.5 + 0j), 0.3)]:
-            with pytest.raises(InvalidInputError, match="real number"):
+            with pytest.raises(InvalidInputError, match="real number") as caught:
                 cubic_solve(mu, a)
+            # no digits of a huge int: above 4300 of them, str() raises
+            assert len(str(caught.value)) < 300
         # real numbers of other types are read as floats
         for mu, a in [(np.float64(0.5), 0.3), (np.array(0.5), np.float64(0.3)), (1, 0), (True, False),
                       (Fraction(1, 2), Decimal("0.3"))]:
@@ -614,6 +617,13 @@ class TestTrajectory:
         curve = projection_trajectory(xi, EQUAL, 16)
         np.testing.assert_array_equal(curve[0], np.zeros(3))
         np.testing.assert_allclose(curve[-1], project_mle(xi, EQUAL).xi_star, atol=1e-10)
+
+    def test_samples_at_numpy_linspace(self):
+        xi, s = (0.9, 0.8, 0.5), (0.5, 0.3, 0.2)
+        lam_star = project_mle(xi, s).lambda_star
+        for n_samples in (2, 3, 16):
+            lams = np.linspace(0.0, lam_star, n_samples).tolist()
+            assert projection_trajectory(xi, s, n_samples) == tuple(tuple(_evaluate(lam, s, xi)[4]) for lam in lams)
 
     def test_plane_invariance(self):
         curve = projection_trajectory(np.array([0.9, 0.9, 0.0]), EQUAL, 25)

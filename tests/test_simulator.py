@@ -39,13 +39,14 @@ def test_spec_validation():
         [np.array([0.1]), np.array([0.0]), np.array([0.0])],
         (0.1, 0.0),
         None,
+        {0.1, 0.2},  # crashed the refusal's shape report with a TypeError
     ],
 )
 def test_spec_refuses_text_and_ragged_state(xi_true):
     # the first was accepted as (0.1, 0.0, 0.0); "abc", the word and the
     # ragged list escaped as a bare ValueError, which the CLI did not map
-    # to exit 2
-    with pytest.raises(InvalidInputError, match="^xi_true needs 3 "):
+    # to exit 2.  The refusal names xi_true, or the component it reads
+    with pytest.raises(InvalidInputError, match=r"^xi_true (needs 3 components|needs real numbers|component \d must be a real number), got "):
         SimulationSpec(xi_true=xi_true, mode="standard", n_shots=10)
 
 
