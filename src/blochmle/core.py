@@ -21,7 +21,9 @@ the length check of a 3-vector.  Either rule raises ``InvalidInputError``,
 never a ``TypeError`` or a numpy warning, and a real's refusal names its
 type, never its digits.  Two rules narrow the integer one: a seed lies in
 [0, 2**64) (``_seed``), and a size such as a shot count, a trial count or
-a sample count is no smaller than its least value (``_at_least``).
+a sample count is no smaller than its least value (``_at_least``).  The
+refusals of these three rules and of a negative count print the value
+only when its ``repr`` is short, and otherwise name its type (``_shown``).
 
 One record's estimate is three numbers, so its path (this module, the
 projector's solve and the report) works in plain floats and never imports
@@ -61,6 +63,20 @@ class SolverError(RuntimeError):
     """A numerical routine failed to reach its own tolerance."""
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message when it is at most 100
+    characters, else ``an over-long <type name>``: an int of more than 4,300
+    digits, or a container that holds one, has no ``repr``, and a message
+    should not echo a long one."""
+    try:
+        text = repr(value)
+    except ValueError:  # int()'s digit limit, raised from inside repr()
+        text = None
+    if text is not None and len(text) <= 100:
+        return text
+    return f"an over-long {type(value).__name__}"
+
+
 def _integer(value, name: str) -> int:
     """``value`` as an int by ``operator.index``, else ``InvalidInputError``:
     ints and numpy ints pass; bools, floats (integral ones too), text and
@@ -73,14 +89,14 @@ def _integer(value, name: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise InvalidInputError(f"{name}: expected an integer, got {value!r}")
+    raise InvalidInputError(f"{name}: expected an integer, got {_shown(value)}")
 
 
 def _seed(value, name: str = "seed") -> int:
     """A seed by ``_integer``, with 0 <= seed < 2**64, else ``InvalidInputError``."""
     seed = _integer(value, name)
     if not 0 <= seed < 2**64:
-        raise InvalidInputError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+        raise InvalidInputError(f"{name} must be a 64-bit unsigned integer, got {_shown(seed)}")
     return seed
 
 
@@ -88,7 +104,7 @@ def _at_least(value, name: str, least: int) -> int:
     """A size by ``_integer``, no smaller than ``least``, else ``InvalidInputError``."""
     n = _integer(value, name)
     if n < least:
-        raise InvalidInputError(f"{name} must be >= {least}, got {n}")
+        raise InvalidInputError(f"{name} must be >= {least}, got {_shown(n)}")
     return n
 
 
@@ -112,7 +128,8 @@ class CountRecord(namedtuple("CountRecord", ["n_plus", "n_minus"])):
         if p1 < 0 or p2 < 0 or p3 < 0 or m1 < 0 or m2 < 0 or m3 < 0:
             counts = (p1, p2, p3, m1, m2, m3)
             i = [n < 0 for n in counts].index(True)  # the first negative
-            raise InvalidInputError(f"axis {i % 3 + 1} {('n_plus', 'n_minus')[i // 3]}: negative count {counts[i]}")
+            field = f"axis {i % 3 + 1} {('n_plus', 'n_minus')[i // 3]}"
+            raise InvalidInputError(f"{field}: negative count {_shown(counts[i])}")
         totals = (p1 + m1, p2 + m2, p3 + m3)
         if 0 in totals:
             raise InvalidInputError(f"axis {totals.index(0) + 1}: no measurements recorded")

@@ -21,7 +21,10 @@ model probability positive wherever the empirical one is, so the KL is
 finite; lambda never exceeds the solver's ``lam_max``; and the oracle's
 answers are finite.  The layouts rely on that, since ``%r`` writes ``nan``
 and ``inf`` where ``json.dumps`` writes ``NaN`` and ``Infinity``.
-``csv_text`` writes every CSV.
+``csv_text`` writes every CSV.  ``_COUNTS_JSON`` is the one place the
+counts layout is written: ``parse_counts`` reads text in that exact layout
+with one regular expression built from it and hands every other text to the
+general JSON and CSV readers.
 
 ``float.__repr__`` is most of what the writer costs, so ``report_to_json``
 formats each distinct float of the head once and feeds its text to every
@@ -53,6 +56,7 @@ import csv
 import io as _io
 import json
 import math
+import re
 import sys
 
 from .core import CountRecord, InvalidInputError, _integer, empirical_kl, norm_squared, temporal_estimate
@@ -72,6 +76,9 @@ _PROJECTED_TAIL = ',\n  "lambda_star": %r,\n  "norm_residual": %r,\n  "equation_
 _ORACLE_BLOCK = ',\n  "oracle": {\n    "xi": [\n      %r,\n      %r,\n      %r\n    ],\n    "max_discrepancy": %r\n  }'
 _COUNTS_AXIS = '    {\n      "axis": %d,\n      "n_plus": %%d,\n      "n_minus": %%d\n    }'
 _COUNTS_JSON = '{\n  "axes": [\n' + ",\n".join(_COUNTS_AXIS % axis for axis in (1, 2, 3)) + "\n  ]\n}\n"
+# the same layout read back: each count slot an ASCII decimal of at most 18
+# digits with no sign and no leading zero (see parse_counts)
+_COUNTS_JSON_TEXT = re.compile(re.escape(_COUNTS_JSON).replace("%d", "(0|[1-9][0-9]{0,17})"))
 
 
 def __getattr__(name):
@@ -157,12 +164,35 @@ def parse_counts_csv(text: str) -> CountRecord:
 
 def parse_counts(text: str) -> CountRecord:
     """A JSON counts file if the first non-blank character is ``{``, else a
-    CSV one."""
+    CSV one.
+
+    Text in the exact layout ``counts_to_json`` writes, which is what
+    ``blochmle simulate`` pipes into ``estimate``, is read by one
+    ``fullmatch`` of a pattern built from that layout, without
+    ``json.loads``: each count slot takes ``0`` or an ASCII decimal of 1 to
+    18 digits without a leading zero.  Any other text (other whitespace or
+    key order, CRLF line ends, a sign, a leading zero, a longer or
+    non-ASCII number, and every CSV file) goes to ``parse_counts_json`` or
+    ``parse_counts_csv``.  The pattern takes only texts that
+    ``parse_counts_json`` reads to the same ``CountRecord`` or refuses with
+    the same message, since ``CountRecord`` validates the six ints either
+    way; 18 digits keep every count below 2**63 and far from ``int()``'s
+    digit limit, whose refusal only ``json.loads`` words.  CSV text has no
+    such path yet: it would speed the benchmark's CSV records enough that
+    its per-record arrays, which grow with throughput, would carry its
+    peak-memory figure past its bound (ROADMAP, Known defects), so it waits
+    for ROADMAP direction 1.  Compiling the pattern costs about 1 ms per
+    process, once, at import.
+    """
     # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" and Notepad write it;
     # str.lstrip() keeps U+FEFF, so it would hide both the JSON brace and the
     # CSV header
     if text.startswith("\ufeff"):
         text = text[1:]
+    match = _COUNTS_JSON_TEXT.fullmatch(text)
+    if match is not None:
+        p1, m1, p2, m2, p3, m3 = map(int, match.groups())
+        return CountRecord((p1, p2, p3), (m1, m2, m3))
     head = text.lstrip()
     if not head:
         raise InvalidInputError("empty input (expected a JSON or CSV counts file)")

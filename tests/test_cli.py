@@ -155,6 +155,81 @@ class TestCountsFormats:
         assert "error: not valid JSON: arrays or objects nested too deeply" in capsys.readouterr().err
 
 
+@pytest.fixture
+def json_loads_calls(monkeypatch):
+    """A list that gains one item per ``json.loads`` call from here on."""
+    calls, loads = [], json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return calls
+
+
+def one_line_json(counts: CountRecord) -> str:
+    """The counts as ``json.dumps`` writes them without an indent: one line,
+    which ``parse_counts`` reads through ``json.loads``."""
+    axes = [{"axis": i + 1, "n_plus": counts.n_plus[i], "n_minus": counts.n_minus[i]} for i in range(3)]
+    return json.dumps({"axes": axes})
+
+
+LAYOUT = counts_to_json(RECORD)
+AXIS_1, AXIS_2, AXIS_3 = (LAYOUT.index(f'    {{\n      "axis": {axis}') for axis in (1, 2, 3))
+AXIS_1_AND_2_SWAPPED = LAYOUT[:AXIS_1] + LAYOUT[AXIS_2:AXIS_3] + LAYOUT[AXIS_1:AXIS_2] + LAYOUT[AXIS_3:]
+# texts one edit away from the layout counts_to_json writes: a replacement
+# in LAYOUT, and whether parse_counts reads the result without json.loads
+NEAR_MISSES = {
+    "leading_zero": (LAYOUT.replace('"n_plus": 80', '"n_plus": 080'), False),
+    "plus_sign": (LAYOUT.replace('"n_plus": 80', '"n_plus": +80'), False),
+    "minus_sign": (LAYOUT.replace('"n_plus": 80', '"n_plus": -80'), False),
+    "18_digits": (LAYOUT.replace('"n_plus": 80', '"n_plus": ' + "9" * 18), True),
+    "19_digits": (LAYOUT.replace('"n_plus": 80', '"n_plus": 1' + "0" * 18), False),
+    "5000_digits": (LAYOUT.replace('"n_plus": 80', '"n_plus": ' + "1" * 5000), False),
+    "crlf": (LAYOUT.replace("\n", "\r\n"), False),
+    "no_final_newline": (LAYOUT[:-1], False),
+    "byte_order_mark": ("\ufeff" + LAYOUT, True),
+    "arabic_indic_digit": (LAYOUT.replace('"n_plus": 80', '"n_plus": \u0663'), False),
+    "swapped_axes": (AXIS_1_AND_2_SWAPPED, False),
+    "extra_space": (LAYOUT.replace('"n_plus": 80', '"n_plus":  80'), False),
+    "axis_without_shots": (LAYOUT.replace('"n_plus": 50,\n      "n_minus": 50', '"n_plus": 0,\n      "n_minus": 0'), True),
+}
+
+
+class TestCountsLayout:
+    """``parse_counts`` reads the text ``counts_to_json`` writes by one
+    pattern built from its layout, and every other text by the general
+    readers, to the same record or the same refusal."""
+
+    @pytest.mark.parametrize("name", NEAR_MISSES)
+    def test_near_miss_reads_as_json(self, name, json_loads_calls):
+        text, matches_layout = NEAR_MISSES[name]
+        try:
+            got = parse_counts(text)
+        except InvalidInputError as exc:
+            got = str(exc)
+        assert len(json_loads_calls) == (0 if matches_layout else 1)
+        # parse_counts drops a byte-order mark before it reads anything,
+        # and json.loads refuses one
+        try:
+            expected = parse_counts_json(text.removeprefix("\ufeff"))
+        except InvalidInputError as exc:
+            expected = str(exc)
+        assert got == expected
+        if name == "swapped_axes":
+            assert got == RECORD
+        if name == "axis_without_shots":
+            assert got == "axis 2: no measurements recorded"
+
+    def test_layout_read_without_json_loads(self, json_loads_calls):
+        records = [RECORD, CountRecord((0, 10**18 - 1, 1), (1, 0, 10**17))]
+        assert [parse_counts(counts_to_json(record)) for record in records] == records
+        assert json_loads_calls == []
+        assert parse_counts(one_line_json(RECORD)) == RECORD
+        assert len(json_loads_calls) == 1
+
+
 def as_json_dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -221,10 +296,13 @@ class TestJsonWriter:
         report = build_estimate_report(record)
         assert report_to_json(report) == as_json_dumps(report)
 
-    def test_report_digests(self):
+    def test_report_digests(self, json_loads_calls):
         """Every report of the corpus in ``report_digests.txt`` has the
-        bytes it had when the corpus was written.  After a deliberate change
-        to the report bytes, regenerate the file with
+        bytes it had when the corpus was written, with its record read from
+        text three ways: as ``counts_to_json`` writes it, which
+        ``parse_counts`` reads without ``json.loads``; as one-line JSON,
+        which goes through ``json.loads``; and as CSV.  After a deliberate
+        change to the report bytes, regenerate the file with
         ``PYTHONPATH=src python tests/test_cli.py``."""
         lines = REPORT_DIGESTS.read_text().splitlines()
         assert len(lines) == len(NAMED_RECORDS) + 400
@@ -232,8 +310,12 @@ class TestJsonWriter:
             *counts, digest = line.split()
             counts = [int(n) for n in counts]
             record = CountRecord(tuple(counts[:3]), tuple(counts[3:]))
-            report = report_to_json(build_estimate_report(record))
-            assert report_digest(report) == digest, f"line {number}, {record}, report:\n{report}"
+            for write in counts_to_json, one_line_json, counts_to_csv:
+                parsed = parse_counts(write(record))
+                assert parsed == record, f"line {number}, {write.__name__}"
+                report = report_to_json(build_estimate_report(parsed))
+                assert report_digest(report) == digest, f"line {number}, {write.__name__}, {record}, report:\n{report}"
+        assert len(json_loads_calls) == len(lines)
 
     def test_report_with_oracle(self):
         # RECORD is unprojected; the third record, xi_hat = (1, 1, 0) with

@@ -88,6 +88,24 @@ def test_negative_count_rejected():
         CountRecord((10, 10, 10), (5, -1, 5))
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (-(10**5000), "axis 3 n_plus: negative count an over-long int"),
+        ([10**5000], "axis 3 n_plus: expected an integer, got an over-long list"),
+        (-(10**100), "axis 3 n_plus: negative count an over-long int"),
+        (-(10**98), f"axis 3 n_plus: negative count {-(10**98)}"),
+    ],
+    ids=["-10**5000", "[10**5000]", "-10**100", "-10**98"],
+)
+def test_huge_count_refusal_is_short(count, message):
+    # the refusal printed the value, and an int of more than 4,300 digits
+    # has no repr: a plain ValueError escaped while the message was built
+    with pytest.raises(InvalidInputError) as caught:
+        CountRecord((1, 1, count), (1, 1, 1))
+    assert str(caught.value) == message and len(message) < 300
+
+
 def test_fractional_count_rejected():
     with pytest.raises(InvalidInputError, match=r"^axis 2 n_plus: expected an integer, got 10.5$"):
         CountRecord((10, 10.5, 10), (5, 5, 5))

@@ -61,6 +61,23 @@ def test_spec_refuses_non_integers(field, value):
         SimulationSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", 10**5000, "seed must be a 64-bit unsigned integer, got an over-long int"),
+        ("n_shots", -(10**5000), "n_shots must be >= 1, got an over-long int"),
+    ],
+    ids=["seed=10**5000", "n_shots=-10**5000"],
+)
+def test_spec_huge_int_refusal_is_short(field, value, message):
+    # the refusal printed the int, which has no str() above 4,300 digits: a
+    # plain ValueError escaped while the message was built
+    kwargs = {"xi_true": (0.1, 0, 0), "mode": "standard", "n_shots": 1, field: value}
+    with pytest.raises(InvalidInputError) as caught:
+        SimulationSpec(**kwargs)
+    assert str(caught.value) == message and len(message) < 300
+
+
 def test_normalized_pure_state_accepted():
     xi = tuple(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
     spec = SimulationSpec(xi_true=xi, mode="standard", n_shots=10, seed=1)
