@@ -43,7 +43,7 @@ def finite_distribution(probs) -> np.ndarray:
     if np.any(p <= 0.0):
         raise InvalidInputError("probability vector must be strictly positive")
     if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidInputError(f"probabilities must sum to 1 (got {p.sum()!r})")
+        raise InvalidInputError(f"probabilities must sum to 1 (got {float(p.sum())!r})")
     return p
 
 

@@ -46,8 +46,9 @@ empirical estimate itself, and every term of that KL is a log minus the
 same log.
 
 The direct-search oracle (and with it numpy) loads only when
-``build_estimate_report(with_oracle=True)`` or the module attribute
-``io.oracle_mle`` first asks for it (PEP 562).
+``oracle_mle`` here is first called, which
+``build_estimate_report(with_oracle=True)`` does.  The report calls it as a
+module global, so a wrapper set on ``io.oracle_mle`` is what runs.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import io as _io
 import json
 import math
 import re
-import sys
 
 from .core import CountRecord, InvalidInputError, _integer, empirical_kl, norm_squared, temporal_estimate
 from .projector import project_mle
@@ -81,13 +81,11 @@ _COUNTS_JSON = '{\n  "axes": [\n' + ",\n".join(_COUNTS_AXIS % axis for axis in (
 _COUNTS_JSON_TEXT = re.compile(re.escape(_COUNTS_JSON).replace("%d", "(0|[1-9][0-9]{0,17})"))
 
 
-def __getattr__(name):
-    if name != "oracle_mle":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle  # noqa: PLC0415 - see the module docstring
+def oracle_mle(xi_hat, s):
+    """``oracle.oracle_mle``, whose module and numpy load on the first call."""
+    from .oracle import oracle_mle  # noqa: PLC0415 - see the module docstring
 
-    value = globals()[name] = getattr(oracle, name)
-    return value
+    return oracle_mle(xi_hat, s)
 
 
 def _parse_int(text: str, row: int, column: str) -> int:
@@ -237,8 +235,7 @@ def build_estimate_report(counts: CountRecord, with_oracle: bool = False) -> dic
         report["norm_residual"] = result.norm_residual
         report["equation_residuals"] = list(result.equation_residuals)
     if with_oracle:
-        # looked up as a module attribute, so a wrapper set on io.oracle_mle runs
-        direct = sys.modules[__name__].oracle_mle(xi_hat, s_hat).tolist()
+        direct = oracle_mle(xi_hat, s_hat).tolist()
         report["oracle"] = {
             "xi": direct,
             "max_discrepancy": max(abs(d - x) for d, x in zip(direct, result.xi_star)),

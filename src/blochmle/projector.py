@@ -153,7 +153,9 @@ def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, float, list[f
     r' = sum 2 s_i x_i x_i' and r'' = sum 2 s_i^2 (x_i'^2 + x_i x_i'').
     For |a_i| = 1, x' is 0/0 at the kink mu_i = 2 where x_i reaches the
     boundary, so the factored forms x' = a/(1 + 2|x|) and x'' = -2 x'^3
-    are used up to the kink, and 0 above it.
+    are used up to the kink.  Above it ``cubic_solve`` returns x = a
+    exactly and D = mu - 2 > 0, so the general forms give x' = 0 and a
+    curvature term of 0.
     """
     total = 0.0
     slope = 0.0
@@ -167,12 +169,9 @@ def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, float, list[f
             x.append(0.0)
             continue
         x_i = cubic_solve(mu, a_i)
-        if a_i == 1.0 or a_i == -1.0:
-            if mu <= 2.0:
-                dx = a_i / (1.0 + 2.0 * abs(x_i))
-                ddx = -2.0 * dx * dx * dx
-            else:
-                dx = ddx = 0.0
+        if (a_i == 1.0 or a_i == -1.0) and mu <= 2.0:
+            dx = a_i / (1.0 + 2.0 * abs(x_i))
+            ddx = -2.0 * dx * dx * dx
         else:
             d = 1.0 + mu - 3.0 * x_i * x_i
             if d > 0.0:

@@ -15,7 +15,7 @@ from blochmle import checks
 from blochmle import io as bio
 from blochmle.checks import GATES, BenchResult, BenchTrial, run_benchmark
 from blochmle.cli import SUITE_NAMES, build_parser, main
-from blochmle.core import CountRecord, InvalidInputError
+from blochmle.core import CountRecord, InvalidInputError, SolverError
 from blochmle.io import (
     build_estimate_report,
     counts_to_csv,
@@ -248,14 +248,25 @@ def seeded_records(seed: int, n: int):
         yield CountRecord(tuple(int(k) for k in n_plus), tuple(int(k) for k in shots - n_plus))
 
 
-# RECORD has equal totals and xi_hat = (0.6, 0.0, 0.3); the last two are
-# unprojected with only one of those: equal totals, then a 0.0
+# RECORD has equal totals and xi_hat = (0.6, 0.0, 0.3); the two records
+# after component_at_1 are unprojected with only one of those: equal totals,
+# then a 0.0
 NAMED_RECORDS = {
     "interior": RECORD,
     "projected": CountRecord((90, 90, 90), (10, 10, 10)),
     "component_at_1": CountRecord((100, 65, 50), (0, 35, 50)),
     "interior_equal_totals": CountRecord((7, 2, 6), (3, 8, 4)),
     "interior_zero_component": CountRecord((30, 10, 45), (10, 10, 55)),
+    # ROADMAP's Known defects, as counts: xi_hat = (0, 1, 1 - 2^-53) with
+    # s = (1.49e-300, 2^-9, 1 - 2^-9), a near-kink component that takes 10
+    # residual evaluations; and with s = (1.49e-300, 1.49e-300, 1), where
+    # x_2 = 1.68e-285 is fixed only to rounding (the exact root is ~1.49e-8)
+    "near_kink": CountRecord((1, 2**988, 511 * 2**988 - 511 * 2**934), (1, 0, 511 * 2**934)),
+    "rounding": CountRecord((1, 2, 2**997 - 2**943), (1, 0, 2**943)),
+    # the extreme records of test_report_with_oracle and test_counts_above_2_53:
+    # lambda_star ~2.4e300 after 24 evaluations, and counts above 2^53
+    "lambda_near_1e300": CountRecord((1, 1, 10**300), (0, 0, 10**300)),
+    "counts_above_2_53": CountRecord((2**53 + 1, 3, 2**70), (1, 2**63, 5)),
 }
 
 # The report corpus: one line per record of NAMED_RECORDS, then of
@@ -300,12 +311,14 @@ class TestJsonWriter:
         """Every report of the corpus in ``report_digests.txt`` has the
         bytes it had when the corpus was written, with its record read from
         text three ways: as ``counts_to_json`` writes it, which
-        ``parse_counts`` reads without ``json.loads``; as one-line JSON,
+        ``parse_counts`` reads without ``json.loads`` unless a count has
+        more than 18 digits; as one-line JSON,
         which goes through ``json.loads``; and as CSV.  After a deliberate
         change to the report bytes, regenerate the file with
         ``PYTHONPATH=src python tests/test_cli.py``."""
         lines = REPORT_DIGESTS.read_text().splitlines()
         assert len(lines) == len(NAMED_RECORDS) + 400
+        loads = 0
         for number, line in enumerate(lines, 1):
             *counts, digest = line.split()
             counts = [int(n) for n in counts]
@@ -315,7 +328,10 @@ class TestJsonWriter:
                 assert parsed == record, f"line {number}, {write.__name__}"
                 report = report_to_json(build_estimate_report(parsed))
                 assert report_digest(report) == digest, f"line {number}, {write.__name__}, {record}, report:\n{report}"
-        assert len(json_loads_calls) == len(lines)
+            # one-line JSON always goes through json.loads, and so does
+            # counts_to_json's text with a count of more than 18 digits
+            loads += 1 + (max(counts) >= 10**18)
+        assert len(json_loads_calls) == loads
 
     def test_report_with_oracle(self):
         # RECORD is unprojected; the third record, xi_hat = (1, 1, 0) with
@@ -440,6 +456,34 @@ class TestCliEstimate:
         assert main(["estimate", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: axis 1: its share of the shots, N_1/N, is below the smallest positive float\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("axis,n_plus,n_minus\n1,1,1\n2,1,1,1\n3,1,1\n", "row 2: expected 3 columns, got 4"),
+            ("axis,n_plus,n_minus\n1,1,1\n1,1,1\n3,1,1\n", "row 2 axis: bad or duplicate axis '1'"),
+            ("axis,n_plus,n_minus\n1,1,1\n4,1,1\n3,1,1\n", "row 2 axis: bad or duplicate axis '4'"),
+            ('{"axes": [{"axis": 1, "n_plus": 1, "n_minus": 1}, 2, {"axis": 3, "n_plus": 1, "n_minus": 1}]}',
+             "axes[1]: expected an object"),
+        ],
+        ids=["csv_four_cells", "csv_duplicate_axis", "csv_axis_out_of_range", "json_axis_not_an_object"],
+    )
+    def test_malformed_row_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["estimate", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_solver_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        def fail(xi_hat, s):
+            raise SolverError("no bracket")
+
+        monkeypatch.setattr(bio, "project_mle", fail)
+        path = tmp_path / "counts.json"
+        path.write_text(counts_to_json(RECORD))
+        assert main(["estimate", "--in", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "solver failure: no bracket\n"
 
     def test_count_over_4300_digits_exit_2(self, tmp_path, capsys):
         # json.loads refuses it with a ValueError that is no JSONDecodeError
@@ -681,6 +725,17 @@ class TestCliSimulate:
         doc = json.loads(capsys.readouterr().out)
         totals = {rec["axis"]: rec["n_plus"] + rec["n_minus"] for rec in doc["axes"]}
         assert totals[1] > totals[2] and totals[1] > totals[3]
+
+    @pytest.mark.parametrize("flag", ["--xi", "--s"])
+    @pytest.mark.parametrize(
+        "value, problem",
+        [("0.1,0.2", "expected 3 comma-separated values, got '0.1,0.2'"), ("0.1,x,0.2", "not numeric: '0.1,x,0.2'")],
+        ids=["two_values", "word"],
+    )
+    def test_malformed_triple_exit_2(self, flag, value, problem, capsys):
+        args = {"--xi": "0.1,0,0", "--s": "1,1,1", flag: value}
+        assert main(["simulate", "--mode", "randomized", "--N", "10", *itertools.chain(*args.items())]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: {problem}\n"
 
     def test_invalid_weights_exit_2(self):
         assert main(["simulate", "--xi", "0.1,0,0", "--mode", "randomized", "--N", "10",

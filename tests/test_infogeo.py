@@ -159,6 +159,23 @@ def test_wrong_length_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: finite_distribution([0.5, 0.6]), "probabilities must sum to 1 (got 1.1)"),
+        (lambda: finite_distribution([1.0]), "expected at least 2 probabilities, got 1"),
+        (lambda: canonical_divergence([0.1, 0.2], [0.1]), "points live on product manifolds of different dimension"),
+    ],
+    ids=["distribution_sum", "distribution_size", "divergence_dimensions"],
+)
+def test_refusal_messages(call, message):
+    # the sum is printed as a plain float, as weight_vector prints one, not
+    # as numpy's repr of its scalar
+    with pytest.raises(InvalidInputError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 class TestProductDistribution:
     def test_single_axis(self):
         np.testing.assert_allclose(product_distribution([0.5]), [0.75, 0.25])

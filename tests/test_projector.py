@@ -3,6 +3,7 @@ import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from blochmle.projector import (
 
 EQUAL = np.array([1 / 3, 1 / 3, 1 / 3])
 
-# Frozen from the bisection oracle below.
+# CUBIC_MU1_A05 is decimal_root(1.0, 0.5) below, rounded to a float.
 CUBIC_MU1_A05 = 0.25865202250415276
 LAMBDA_SYMMETRIC = 5.186175317511091
 
@@ -42,33 +43,21 @@ ON_SPHERE = CountRecord((1, 10, 9), (25, 16, 17))
 ON_SPHERE_ROUNDED_TO_ONE = CountRecord((2, 5, 9), (20, 17, 13))
 
 
-def bisect_root(mu, a, iterations=200):
-    """Independent oracle: plain bisection of x(1-x^2) - mu(a-x) on [-1, 1].
-    1 - x^2 is formed as (1 - x)(1 + x): near the double root (mu -> 2,
-    |a| -> 1) the two terms of f cancel to about eps^2, and 1 - x * x would
-    place the sign change up to 1e-8 from the root."""
-    f = lambda x: x * ((1.0 - x) * (1.0 + x)) - mu * (a - x)
-    lo, hi = -1.0, 1.0
-    assert f(lo) <= 0.0 <= f(hi)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def decimal_root(mu, a):
     """Independent 60-digit reference for the root of x(1 - x^2) = mu(a - x)
     in [-1, 1], from ``decimal`` alone.  For a > 0 the root lies in [0, a],
     where f = x(1 - x^2) - mu(a - x) is concave with f(0) < 0 <= f(a):
     a few bisection steps narrow that bracket, then Newton steps from its
     lower end climb monotonically to the root (for a = 1 and mu < 2, where
-    f(1) = 0 too, to the interior one).  The root is odd in a."""
+    f(1) = 0 too, to the interior one).  The root is odd in a.  At a = 1,
+    f factors as (1 - x)(x(1 + x) - mu), so the root is
+    min(1, (sqrt(1 + 4 mu) - 1)/2) in closed form: at the double root
+    mu = 2, f is flat to 60 digits near x = 1, and Newton's steps stall."""
     with localcontext() as ctx:
         ctx.prec = 60
         m, b = Decimal(mu), abs(Decimal(a))
+        if b == 1:
+            return min(Decimal(1), ((1 + 4 * m).sqrt() - 1) / 2).copy_sign(Decimal(a))
         f = lambda x: x * (1 - x * x) - m * (b - x)
         lo, hi = Decimal(0), b
         for _ in range(8):
@@ -209,7 +198,7 @@ class TestCubicSolve:
     @settings(max_examples=300)
     def test_matches_oracle_and_shrinks(self, mu, a):
         x = cubic_solve(mu, a)
-        assert x == pytest.approx(bisect_root(mu, a), abs=1e-9)
+        assert x == pytest.approx(float(decimal_root(mu, a)), abs=1e-9)
         if a == 0.0:
             assert x == 0.0
         else:
@@ -218,10 +207,11 @@ class TestCubicSolve:
 
     def test_near_double_root_within_property_bound(self):
         # an input that test_matches_oracle_and_shrinks draws only now and
-        # then; the root to 60 digits is 0.99999999139681056..., which the
-        # bisection of 1 - x * x placed at 0.9999999925494194
+        # then, next to the double root, where a float bisection of f places
+        # its sign change only to about 1e-9; the root to 60 digits is
+        # 0.99999999139681056...
         mu, a = 2.0, 1.0 - 2.0**-53
-        assert cubic_solve(mu, a) == pytest.approx(bisect_root(mu, a), abs=1e-9)
+        assert cubic_solve(mu, a) == pytest.approx(float(decimal_root(mu, a)), abs=1e-9)
         assert cubic_solve(mu, a) == pytest.approx(0.99999999139681056, abs=2.0**-52)
 
     @pytest.mark.parametrize("a", [1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1.0 - 2.0**-50])
@@ -230,7 +220,7 @@ class TestCubicSolve:
         # and left the root 9.5e-9 off (mu = 2.000122053303152 (1 - 2^-14),
         # a = 1 - 2^-53 gave 0.9999999959235184 for 0.99999998640340415)
         mu = 2.000122053303152 * (1.0 - 2.0**-14)
-        assert cubic_solve(mu, a) == pytest.approx(bisect_root(mu, a), abs=1e-15)
+        assert cubic_solve(mu, a) == pytest.approx(float(decimal_root(mu, a)), abs=1e-15)
 
     def test_ulp_error_against_decimal_root(self):
         # seeded cases in four regimes, each bound at its worst error in ulps
@@ -304,6 +294,12 @@ class TestEvaluate:
         assert_curvature_matches_central_difference(a, s, lam)
         assert _evaluate(lam, s, a)[4][a.index(0.0)] == 0.0
 
+    @pytest.mark.parametrize("lam", [6.0 * (1.0 + 2.0**-52), 1e300])
+    def test_pure_axis_above_its_kink(self, lam):
+        # mu_1 = lam / 3 just above the kink 2 and far above it: x_1 = a_1
+        # exactly, so x_1 neither moves nor bends, and r is exactly 0
+        assert _evaluate(lam, (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0)) == (0.0, 0.0, 0.0, 0.0, [1.0, 0.0, 0.0])
+
     def test_curvature_matches_central_difference(self):
         # every third instance has a component at +-1, with lam below its
         # kink 2/s_i; every fifth has one at 0
@@ -372,6 +368,15 @@ class TestProjectMle:
         assert len(projections) == 1000
         assert shrinkage_ok(seed=19)
         assert len(projections) == 2 * 1000
+
+    @pytest.mark.parametrize("distort", [lambda a, x: 1.5 * a, lambda a, x: -x], ids=["grows", "flips_sign"])
+    def test_shrinkage_catches_a_component_that_grows_or_flips(self, monkeypatch, distort):
+        def distorted(xi_hat, s):
+            res = project_mle(xi_hat, s)
+            return res._replace(xi_star=(distort(xi_hat[0], res.xi_star[0]), *res.xi_star[1:]))
+
+        monkeypatch.setattr(checks, "project_mle", distorted)
+        assert not shrinkage_ok(seed=19)
 
     def test_metric_orthogonality(self, check_calls, gate_bound):
         metrics = check_calls("fisher_metric")
@@ -645,6 +650,17 @@ class TestTrajectory:
         for n_samples in (3.0, "3", None):
             with pytest.raises(InvalidInputError, match="n_samples"):
                 projection_trajectory(np.array([0.9, 0.9, 0.0]), EQUAL, n_samples)
+
+
+def test_readme_library_snippet():
+    # the python block of README's Library section runs as written, and its
+    # comments state what it computes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(snippet, namespace)
+    assert namespace["xi_hat"] == (0.8, 0.8, 0.8)
+    assert max(abs(x - 1.0 / math.sqrt(3.0)) for x in namespace["result"].xi_star) < 1e-15
 
 
 exterior_points = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.asarray).filter(
