@@ -52,4 +52,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted([*globals(), *_SOURCES])
+    return sorted({*globals(), *_SOURCES})

@@ -249,9 +249,18 @@ def projection_residual_battery(seed=0):
 
 def shrinkage_ok(seed=0) -> bool:
     """Each projected component keeps its input's sign and is smaller in
-    magnitude; a zero component stays zero."""
-    for xi_hat, _, res in islice(_exterior_projections(seed), 1000):
-        for a, x in zip(xi_hat, res.xi_star):
+    magnitude; a zero component stays zero.  Checked on the shared stream's
+    first 1000 instances, then on those of its next 300 that stay outside
+    the ball with component k % 3 of the k-th set to exactly 0 (uniform
+    draws all but never give a 0)."""
+    instances = _exterior_projections(seed)
+    checked = [(xi_hat, res.xi_star) for xi_hat, _, res in islice(instances, 1000)]
+    for k, (xi_hat, s, _) in enumerate(islice(instances, 300)):
+        xi_hat[k % 3] = 0.0
+        if norm_squared(xi_hat) > 1.0:
+            checked.append((xi_hat, project_mle(xi_hat, s).xi_star))
+    for xi_hat, xi_star in checked:
+        for a, x in zip(xi_hat, xi_star):
             if a == 0.0:
                 if x != 0.0:
                     return False

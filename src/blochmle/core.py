@@ -259,18 +259,23 @@ def empirical_kl(xi_hat, s, xi) -> float:
     """Weighted per-axis binary KL from the empirical estimate to one model
     point; the objective whose sphere minimizer is the corrected estimate.
 
-    A term with empirical probability 0 drops out (0 log 0 = 0); a model
-    probability of 0 against a positive empirical one gives inf.  The report
-    and the oracle's search both evaluate this function.
+    The model point ``xi`` must lie in [-1, 1]^3, where each model
+    probability (1 +- m)/2 is at most 1; a NaN component gives inf.  Every
+    caller passes such a point: ``project_mle``'s answers (``cubic_solve``
+    roots, with |x_i| <= |xi_hat_i|), the oracle's start 0 and its trial
+    points with fl(|x|^2) < 1, the batteries' interior points, and
+    ``sphere_point``'s v / sqrt(fl(sum v^2)), at most 1 in each component
+    since sqrt(fl(v_i^2)) = |v_i| in binary floating point.  A term with
+    empirical probability 0 drops out (0 log 0 = 0); a model probability of
+    0 against a positive empirical one gives inf.  The report and the
+    oracle's search both evaluate this function.
     """
     plus = minus = 0.0
     for a, w, m in zip(xi_hat, s, xi):
         p_hat = (1.0 + a) / 2.0
         if p_hat > 0.0:
             p_model = (1.0 + m) / 2.0
-            if p_model > 0.0:  # false for NaN, which clamps to 0
-                if p_model > 1.0:
-                    p_model = 1.0
+            if p_model > 0.0:  # false for NaN, which counts as probability 0
                 plus += w * (p_hat * (math.log(p_hat) - math.log(p_model)))
             else:
                 plus += w * math.inf
@@ -278,8 +283,6 @@ def empirical_kl(xi_hat, s, xi) -> float:
         if p_hat > 0.0:
             p_model = (1.0 - m) / 2.0
             if p_model > 0.0:
-                if p_model > 1.0:
-                    p_model = 1.0
                 minus += w * (p_hat * (math.log(p_hat) - math.log(p_model)))
             else:
                 minus += w * math.inf

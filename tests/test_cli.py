@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochmle import checks
+from blochmle import checks, projector
 from blochmle import io as bio
 from blochmle.checks import GATES, BenchResult, BenchTrial, run_benchmark
 from blochmle.cli import SUITE_NAMES, build_parser, main
@@ -484,6 +484,32 @@ class TestCliEstimate:
         assert main(["estimate", "--in", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "solver failure: no bracket\n"
+
+    @pytest.mark.parametrize(
+        "residual, message",
+        [
+            # r jumps over 0 at lam = 1 with no slope: the log bisection
+            # closes the bracket there without reaching tolerance
+            (lambda lam: (-1.0 if lam < 1.0 else 1.0, 0.0), "multiplier bracket [0.9999999999999999, 1.0] closed at residual 1.0"),
+            # r > 0 everywhere, and each Newton step takes lam to 0.7 lam,
+            # within the step rule, so the root is never bracketed
+            (lambda lam: (1.0, 1.0 / (0.3 * lam)), "multiplier residual 1.0 above tolerance after 200 evaluations"),
+        ],
+        ids=["bracket_closes", "never_brackets"],
+    )
+    def test_solver_error_raised_exit_3(self, residual, message, tmp_path, capsys, monkeypatch):
+        # the two SolverError raises of _solve_lambda, reached through a
+        # residual that no cubic gives
+        monkeypatch.setattr(projector, "_evaluate", lambda lam, s, xi_hat: (*residual(lam), 0.0, 0.0, [0.0] * 3))
+        record = NAMED_RECORDS["projected"]
+        with pytest.raises(SolverError) as caught:
+            build_estimate_report(record)
+        assert str(caught.value) == message
+        path = tmp_path / "counts.json"
+        path.write_text(counts_to_json(record))
+        assert main(["estimate", "--in", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"solver failure: {message}\n"
 
     def test_count_over_4300_digits_exit_2(self, tmp_path, capsys):
         # json.loads refuses it with a ValueError that is no JSONDecodeError

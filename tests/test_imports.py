@@ -123,6 +123,17 @@ def test_star_import_resolves_every_public_name():
     assert done.stdout.split() == ["25", "[]", "True"]
 
 
+def test_dir_lists_every_public_name_once():
+    # in process, after a lazy load: dir() listed a loaded name twice, once
+    # from the module's globals and once from the lazy table
+    import blochmle
+
+    assert blochmle.project_mle is project_mle
+    names = dir(blochmle)
+    assert len(names) == len(set(names))
+    assert set(blochmle.__all__) <= set(names)
+
+
 # One instance of each of the package's records.
 RECORDS = {
     "CountRecord": PROJECTED,

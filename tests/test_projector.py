@@ -253,6 +253,32 @@ class TestCubicSolve:
         assert worst["tiny |a|"] <= 1.31
         assert worst["pure axis below the kink"] <= 1.62
 
+    def test_root_stays_inside_next_to_one(self):
+        # cubic_solve has no clamp to [-1, 1] and _evaluate no branch for
+        # D = 1 + mu - 3 x^2 <= 0.  Both rest on bounds that are tightest for
+        # a within ulps of +-1: |x| <= |a|, and D at the computed root within
+        # 1e-15 (1 + mu) of its exact value at the exact root, which is at
+        # least sqrt(24 * 2^-53) = 5.16e-8 (mu = 2, a = 1 - 2^-53).  The ulp
+        # bound is the worst error measured when the test was added, 1.525
+        rng = np.random.default_rng(67)
+        worst = 0.0
+        for k in range(2000):
+            sign = float(rng.choice((-1.0, 1.0)))
+            a = sign * (1.0 - float(rng.choice([1, 2, 3, int(rng.integers(4, 2**20))])) * 2.0**-53)
+            if k % 2:
+                mu = 2.0 * (1.0 + float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-17.0, -2.0))
+            else:
+                mu = 10.0 ** rng.uniform(-18.0, 19.0)
+            x = cubic_solve(mu, a)
+            exact = decimal_root(mu, a)
+            assert abs(x) <= abs(a)
+            slope = 1 + Decimal(mu) - 3 * exact * exact
+            assert slope > Decimal("5.16e-8")
+            d = 1.0 + mu - 3.0 * x * x  # as _evaluate forms it
+            assert abs(Decimal(d) - slope) <= Decimal("1e-15") * (1 + Decimal(mu))
+            worst = max(worst, float(abs(Decimal(x) - exact) / Decimal(math.ulp(float(exact)))))
+        assert worst <= 1.525
+
     def test_grid_residuals(self, gate_bound):
         assert cubic_grid_residuals() < gate_bound(cubic_grid_residuals)
 
@@ -367,10 +393,19 @@ class TestProjectMle:
         assert projection_residual_battery(seed=19) < gate_bound(projection_residual_battery)
         assert len(projections) == 1000
         assert shrinkage_ok(seed=19)
-        assert len(projections) == 2 * 1000
+        # 1300 instances of the shared stream, then a second projection of
+        # each of its last 300 that stays exterior with a component set to
+        # 0: 141 of them at this seed
+        assert len(projections) == 1000 + 1300 + 141
+        assert all(0.0 in list(xi_hat) for xi_hat, _ in projections[2300:])
 
-    @pytest.mark.parametrize("distort", [lambda a, x: 1.5 * a, lambda a, x: -x], ids=["grows", "flips_sign"])
+    @pytest.mark.parametrize(
+        "distort",
+        [lambda a, x: 1.5 * a, lambda a, x: -x, lambda a, x: x + 5e-324],
+        ids=["grows", "flips_sign", "leaves_zero"],
+    )
     def test_shrinkage_catches_a_component_that_grows_or_flips(self, monkeypatch, distort):
+        # leaves_zero moves only a zero component, to the least subnormal
         def distorted(xi_hat, s):
             res = project_mle(xi_hat, s)
             return res._replace(xi_star=(distort(xi_hat[0], res.xi_star[0]), *res.xi_star[1:]))
