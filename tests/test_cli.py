@@ -490,7 +490,10 @@ class TestCliEstimate:
         [
             # r jumps over 0 at lam = 1 with no slope: the log bisection
             # closes the bracket there without reaching tolerance
-            (lambda lam: (-1.0 if lam < 1.0 else 1.0, 0.0), "multiplier bracket [0.9999999999999999, 1.0] closed at residual 1.0"),
+            (
+                lambda lam: (-1.0 if lam < 1.0 else 1.0, 0.0),
+                "multiplier bracket [0.9999999999999999, 1.0] closed at residual 1.0",
+            ),
             # r > 0 everywhere, and each Newton step takes lam to 0.7 lam,
             # within the step rule, so the root is never bracketed
             (lambda lam: (1.0, 1.0 / (0.3 * lam)), "multiplier residual 1.0 above tolerance after 200 evaluations"),

@@ -68,7 +68,8 @@ MUTANTS = {
         "state_shift_unweighted", [(checks, "randomized_distribution", lambda real: unweighted_shift)]),
     "projection residuals on 1000 exterior points": (
         "stops_at_residual_1e-6",
-        [(projector, "LAMBDA_RESIDUAL_TOL", lambda real: 1e-6), (projector, "_ROOT_STEP_TOL", lambda real: math.inf)]),
+        [(projector, "LAMBDA_RESIDUAL_TOL", lambda real: 1e-6),
+         (projector, "_ROOT_STEP_TOL", lambda real: math.inf)]),
     "no sphere point beats the estimate in KL": (
         "weights_dropped", [(checks, "project_mle", lambda real: lambda xi_hat, s: real(xi_hat, EQUAL_WEIGHTS))]),
     "permutation and sign equivariance": (
@@ -77,7 +78,8 @@ MUTANTS = {
         "linearized", [(checks, "cubic_solve", lambda real: lambda mu, a: mu * a / (1.0 + mu))]),
     "identical specs give identical counts": ("seed_ignored", [(checks, "simulate", seed_ignored)]),
     "axis fractions within 5 sigma of weights": (
-        "plus_outcomes_first", [(simulator, "_six_outcome", lambda real: lambda s, xi: real(s, xi)[[0, 2, 4, 1, 3, 5]])]),
+        "plus_outcomes_first",
+        [(simulator, "_six_outcome", lambda real: lambda s, xi: real(s, xi)[[0, 2, 4, 1, 3, 5]])]),
     "pure state never yields the forbidden outcome": (
         "outcomes_swapped", [(checks, "simulate", lambda real: lambda spec: CountRecord(*real(spec)[::-1]))]),
     "median error scales like 1/sqrt(N)": ("divides_by_all_shots", [(checks, "temporal_estimate", divides_by_all_shots)]),
