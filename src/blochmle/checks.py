@@ -2,13 +2,15 @@
 subcommand, the timing battery behind ``bench``, and the error-versus-N
 sweep (``consistency_errors``) behind ``sweep``.
 
-Each battery fixes its own size and takes only a seed.  Every seed here,
-a battery's, ``run_benchmark``'s and ``consistency_errors``' base seed, is
-read by core's seed rule (0 <= seed < 2**64): numpy's generator is made in
-one place, ``_rng``, and the simulator batteries pass theirs to
-``SimulationSpec``.  Their sizes are read by core's size rule.  A numeric battery
-yields one defect per instance it checks, and its gate compares their
-maximum, NaN if any of them is NaN, so a NaN defect fails its gate; a
+Each battery fixes its own size and takes only a seed; the sweep fixes its
+shot counts, ``SWEEP_SHOTS``, and takes a seed count and a base seed.
+Every seed here, a battery's, ``run_benchmark``'s and
+``consistency_errors``' base seed, is read by core's seed rule
+(0 <= seed < 2**64): numpy's generator is made in one place, ``_rng``, and
+the simulator batteries pass theirs to ``SimulationSpec``.  Their sizes
+are read by core's size rule.  A numeric battery yields one defect per
+instance it checks, and its gate compares their worst by core's
+``_worst``, NaN if any of them is NaN, so a NaN defect fails its gate; a
 yes/no battery returns whether its property held.  ``GATES`` holds one row
 per check: its suite, its name, its battery and its bound, written only
 there; ``run_gates`` runs the rows of the chosen suites.  The ``check``
@@ -18,8 +20,11 @@ size and read its bound from its row.
 The tolerance that ``bench`` and ``estimate --oracle`` judge the
 projector and the direct search by is ``oracle.DISCREPANCY_TOL``, kept
 with the search it judges, so that ``estimate --oracle`` does not import
-this module.  The projector batteries draw their instances from one
-shared stream, ``_exterior_projections``.
+this module; both take their worst gap by ``_worst`` too.  Every
+projector battery but the fixed cubic grid, six in all, reads its
+exterior instances from one stream, ``_exterior_projections``, fed its own
+generator; the two that also draw sphere points, or a permutation and a
+flip, draw them from that generator between instances.
 
 ``infogeo`` holds the paper's closed forms; the numeric derivatives that
 check them are here, each formed by ``_central_difference``.  The Fisher
@@ -38,7 +43,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import InvalidInputError, _at_least, _seed, empirical_kl, norm_squared, temporal_estimate
+from .core import InvalidInputError, _at_least, _seed, _worst, empirical_kl, norm_squared, temporal_estimate
 from .infogeo import (
     _log_partition,
     canonical_divergence,
@@ -55,7 +60,9 @@ from .simulator import SimulationSpec, simulate
 # step of the central differences of the infogeo batteries
 _DIFFERENCE_STEP = 1e-6
 
-# consistency_errors: the pure state (1, 1, 1)/sqrt(3), measured with equal weights
+# consistency_errors: the pure state (1, 1, 1)/sqrt(3), measured with equal
+# weights at each shot count of SWEEP_SHOTS
+SWEEP_SHOTS = (100, 1000, 10000, 100000)
 CONSISTENCY_STATE = (0.5773502691896258, 0.5773502691896258, 0.5773502691896258)
 EQUAL_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
@@ -64,12 +71,6 @@ class CheckOutcome(namedtuple("CheckOutcome", ["name", "passed", "detail"])):
     """One named invariant: whether it held, and its worst defect as text."""
 
     __slots__ = ()
-
-
-def _worst(defects) -> float:
-    """The largest of ``defects``, or NaN if any of them is NaN."""
-    defects = list(defects)
-    return math.nan if any(math.isnan(d) for d in defects) else max(defects)
 
 
 def _battery(defects):
@@ -229,10 +230,10 @@ def foliation_defect(seed=0):
 
 # --- projector batteries ---------------------------------------------------
 
-def _exterior_projections(seed):
-    """Random exterior inputs with random weights, without end: each as
-    (xi_hat, s, its projection)."""
-    rng = _rng(seed)
+def _exterior_projections(rng):
+    """Random exterior inputs with random weights, drawn from ``rng``,
+    without end: each as (xi_hat, s, its projection).  A draw the caller
+    makes from ``rng`` between two instances comes between their draws."""
     while True:
         xi_hat = exterior_point(rng)
         s = random_weights(rng)
@@ -242,7 +243,7 @@ def _exterior_projections(seed):
 @_battery
 def projection_residual_battery(seed=0):
     """Worst norm or equation residual of the projections."""
-    for _, _, res in islice(_exterior_projections(seed), 1000):
+    for _, _, res in islice(_exterior_projections(_rng(seed)), 1000):
         yield res.norm_residual
         yield from res.equation_residuals
 
@@ -253,7 +254,7 @@ def shrinkage_ok(seed=0) -> bool:
     first 1000 instances, then on those of its next 300 that stay outside
     the ball with component k % 3 of the k-th set to exactly 0 (uniform
     draws all but never give a 0)."""
-    instances = _exterior_projections(seed)
+    instances = _exterior_projections(_rng(seed))
     checked = [(xi_hat, res.xi_star) for xi_hat, _, res in islice(instances, 1000)]
     for k, (xi_hat, s, _) in enumerate(islice(instances, 300)):
         xi_hat[k % 3] = 0.0
@@ -277,7 +278,7 @@ def projection_orthogonality_defect(seed=0):
     200 projections; excludes metric-singular axes."""
     regular = (
         (xi_hat, s, np.asarray(res.xi_star))
-        for xi_hat, s, res in _exterior_projections(seed)
+        for xi_hat, s, res in _exterior_projections(_rng(seed))
         # metric singular; algebraic solution still returned
         if not any(1.0 - abs(c) < 1e-12 for c in res.xi_star)
     )
@@ -291,10 +292,8 @@ def projection_optimality_defect(seed=0):
     """How much a random sphere point ever beats the projected estimate in
     empirical KL (positive would contradict global optimality)."""
     rng = _rng(seed)
-    for _ in range(20):
-        xi_hat = exterior_point(rng)
-        s = random_weights(rng)
-        base = empirical_kl(xi_hat, s, project_mle(xi_hat, s).xi_star)
+    for xi_hat, s, res in islice(_exterior_projections(rng), 20):
+        base = empirical_kl(xi_hat, s, res.xi_star)
         for _ in range(200):
             yield base - empirical_kl(xi_hat, s, sphere_point(rng))
 
@@ -303,10 +302,8 @@ def projection_optimality_defect(seed=0):
 def equivariance_defect(seed=0):
     """Axis permutations permute the answer; sign flips flip it."""
     rng = _rng(seed)
-    for _ in range(100):
-        xi_hat = exterior_point(rng)
-        s = random_weights(rng)
-        x = np.asarray(project_mle(xi_hat, s).xi_star)
+    for xi_hat, s, res in islice(_exterior_projections(rng), 100):
+        x = np.asarray(res.xi_star)
 
         perm = rng.permutation(3)
         x_perm = project_mle(xi_hat[perm], s[perm]).xi_star
@@ -341,7 +338,7 @@ def lambda_monotonicity_ok(seed=0) -> bool:
     """Norm residual strictly increases along lambda on a log grid spanning
     the solved multiplier, below zero at its first point and above at its
     last, so it crosses zero exactly once there."""
-    for xi_hat, s, res in islice(_exterior_projections(seed), 50):
+    for xi_hat, s, res in islice(_exterior_projections(_rng(seed)), 50):
         grid = np.logspace(-6.0, math.log10(4.0 * res.lambda_star), 48)
         r = [_evaluate(g, s, xi_hat)[0] for g in grid]
         if not (r[0] < 0.0 < r[-1] and all(a < b for a, b in zip(r, r[1:]))):
@@ -385,23 +382,20 @@ def pure_state_ok(seed=0) -> bool:
     return pure.n_minus[0] == 0
 
 
-def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, base_seed=0) -> dict:
+def consistency_errors(seeds_per_n=100, base_seed=0) -> dict:
     """Estimation error versus shot count under randomized sampling of
-    ``CONSISTENCY_STATE`` with ``EQUAL_WEIGHTS``.
+    ``CONSISTENCY_STATE`` with ``EQUAL_WEIGHTS``, ``seeds_per_n`` runs at
+    each shot count of ``SWEEP_SHOTS``.
 
     Returns the per-N error arrays, RMSEs and median errors, and the log-log
     slopes of the RMSE and the median error; both should sit near -1/2.
     Run k at the idx-th N has seed base_seed + 100000 idx + k, modulo 2^64
-    so that every valid base seed gives valid seeds.  The slopes need at
-    least two distinct shot counts.
+    so that every valid base seed gives valid seeds.
     """
     seeds_per_n = _at_least(seeds_per_n, "seeds_per_n", 1)
     base_seed = _seed(base_seed, "base_seed")
-    n_values = tuple(_at_least(n, "n_values", 1) for n in n_values)
-    if len(set(n_values)) < 2:
-        raise InvalidInputError(f"need at least 2 distinct shot counts, got {n_values!r}")
     errors = {}
-    for idx, n in enumerate(n_values):
+    for idx, n in enumerate(SWEEP_SHOTS):
         errs = np.empty(seeds_per_n)
         for k in range(seeds_per_n):
             spec = SimulationSpec(
@@ -415,9 +409,9 @@ def consistency_errors(n_values=(100, 1000, 10000, 100000), seeds_per_n=100, bas
             x = np.asarray(project_mle(xi_hat, s_hat).xi_star)
             errs[k] = math.sqrt(norm_squared(x - np.asarray(CONSISTENCY_STATE)))
         errors[n] = errs
-    log_n = np.log(np.asarray(n_values, dtype=float))
-    rmse = np.array([math.sqrt(float(np.mean(errors[n] ** 2))) for n in n_values])
-    med = np.array([float(np.median(errors[n])) for n in n_values])
+    log_n = np.log(np.asarray(SWEEP_SHOTS, dtype=float))
+    rmse = np.array([math.sqrt(float(np.mean(errors[n] ** 2))) for n in SWEEP_SHOTS])
+    med = np.array([float(np.median(errors[n])) for n in SWEEP_SHOTS])
     return {
         "errors": errors,
         "rmse": rmse,

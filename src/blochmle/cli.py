@@ -182,13 +182,12 @@ def _cmd_trajectories(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .checks import consistency_errors  # noqa: PLC0415 - see the module docstring
+    from .checks import SWEEP_SHOTS, consistency_errors  # noqa: PLC0415 - see the module docstring
 
     sweep = consistency_errors(seeds_per_n=args.seeds, base_seed=args.seed)
-    n_values = list(sweep["errors"])
-    table = csv_text(["n_shots", "rmse", "median_error"], zip(n_values, sweep["rmse"], sweep["median"]))
+    table = csv_text(["n_shots", "rmse", "median_error"], zip(SWEEP_SHOTS, sweep["rmse"], sweep["median"]))
     _write_output(args.out, table)
-    for n, rmse in zip(n_values, sweep["rmse"]):
+    for n, rmse in zip(SWEEP_SHOTS, sweep["rmse"]):
         print(f"N = {n:>6d}   rmse {rmse:.5f}   sqrt(N)*rmse {rmse * math.sqrt(n):.3f}", file=sys.stderr)
     print(f"rmse slope {sweep['rmse_slope']:.3f}, median slope {sweep['median_slope']:.3f}", file=sys.stderr)
     return EXIT_OK

@@ -24,6 +24,9 @@ type, never its digits.  Two rules narrow the integer one: a seed lies in
 a sample count is no smaller than its least value (``_at_least``).  The
 refusals of these three rules and of a negative count print the value
 only when its ``repr`` is short, and otherwise name its type (``_shown``).
+The worst of several defects or gaps, NaN if any of them is NaN, is taken
+by one rule too, ``_worst``: the check gates, ``bench`` and ``estimate
+--oracle`` all use it.
 
 One record's estimate is three numbers, so its path (this module, the
 projector's solve and the report) works in plain floats and never imports
@@ -246,6 +249,14 @@ def temporal_estimate(counts: CountRecord) -> tuple[StokesVector, WeightVector]:
         axis = s.index(0.0) + 1
         raise InvalidInputError(f"axis {axis}: its share of the shots, N_{axis}/N, is below the smallest positive float")
     return ((p1 - m1) / t1, (p2 - m2) / t2, (p3 - m3) / t3), s
+
+
+def _worst(values) -> float:
+    """The largest of ``values``, or NaN if any of them is NaN; a plain
+    ``max`` keeps a first NaN and drops a later one, since every comparison
+    with NaN is false."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def norm_squared(xi) -> float:

@@ -59,7 +59,7 @@ import json
 import math
 import re
 
-from .core import CountRecord, InvalidInputError, _integer, empirical_kl, norm_squared, temporal_estimate
+from .core import CountRecord, InvalidInputError, _integer, _worst, empirical_kl, norm_squared, temporal_estimate
 from .projector import project_mle
 
 COUNTS_CSV_HEADER = ["axis", "n_plus", "n_minus"]
@@ -238,7 +238,7 @@ def build_estimate_report(counts: CountRecord, with_oracle: bool = False) -> dic
         direct = oracle_mle(xi_hat, s_hat).tolist()
         report["oracle"] = {
             "xi": direct,
-            "max_discrepancy": max(abs(d - x) for d, x in zip(direct, result.xi_star)),
+            "max_discrepancy": _worst(abs(d - x) for d, x in zip(direct, result.xi_star)),
         }
     return report
 

@@ -112,8 +112,7 @@ def _barrier(xi_hat, s):
                         break
                 a /= 2.0
             else:
-                # 60 halvings, no decrease: no input tried gets here; kept as the fault exit
-                break
+                break  # 60 halvings, no decrease: no input tried gets here; kept as the fault exit
             x, kl = trial, trial_kl
     return x
 

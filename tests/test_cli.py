@@ -605,6 +605,25 @@ class TestCliEstimate:
         assert report["oracle"] == {"xi": [0.0, 0.0, 0.0], "max_discrepancy": 0.7071067811865474}
         assert captured.err == "methods disagree beyond 1e-4\n"
 
+    def test_nan_oracle_component_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a NaN in the oracle's second component used to drop out of the
+        # gap's maximum, after the first component's gap of 0.0: the report
+        # read "max_discrepancy": 0.0 and estimate exited 0
+        oracle_mle = bio.oracle_mle
+
+        def nan_second(xi_hat, s):
+            direct = oracle_mle(xi_hat, s)
+            direct[1] = math.nan
+            return direct
+
+        monkeypatch.setattr(bio, "oracle_mle", nan_second)
+        path = tmp_path / "counts.json"
+        path.write_text(counts_to_json(RECORD))
+        assert main(["estimate", "--in", str(path), "--oracle"]) == 3
+        captured = capsys.readouterr()
+        assert '"max_discrepancy": nan\n' in captured.out
+        assert captured.err == "methods disagree beyond 1e-4\n"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_oracle_flag_at_a_pole(self, tmp_path, capsys):
         # 2^60 plus-counts on axis 1 and none minus: the answer's x_1 rounds

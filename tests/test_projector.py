@@ -436,6 +436,25 @@ class TestProjectMle:
         # the instance, its axis permutation and its sign flip
         assert len(projections) == 3 * 100
 
+    @pytest.mark.parametrize(
+        "battery",
+        [
+            projection_residual_battery,
+            shrinkage_ok,
+            projection_orthogonality_defect,
+            projection_optimality_defect,
+            equivariance_defect,
+            lambda_monotonicity_ok,
+        ],
+        ids=lambda battery: battery.__name__,
+    )
+    def test_every_projector_battery_reads_the_one_stream(self, battery, check_calls):
+        # the optimality and equivariance batteries used to draw their
+        # exterior instances themselves, outside the stream
+        streams = check_calls("_exterior_projections")
+        battery(seed=37)
+        assert len(streams) == 1
+
     def test_sign_flip_is_exact(self):
         xi = np.array([0.9, 0.8, 0.5])
         s = np.array([0.25, 0.5, 0.25])
