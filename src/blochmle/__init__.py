@@ -3,7 +3,8 @@ projection onto the Bloch sphere under the information metric.
 
 The public names load lazily (PEP 562): each submodule is imported the
 first time one of its names is used, so ``import blochmle`` and the
-``estimate`` path do not load numpy.
+``estimate`` path do not load numpy.  Nor does building a
+``SimulationSpec``: the simulator loads numpy at its first ``simulate``.
 """
 
 from importlib import import_module

@@ -11,11 +11,12 @@ already enforces is left to that function; its ``InvalidInputError`` exits
 2.  So is every ``--seed``: argparse reads it as an int, and the function
 that draws from it refuses one outside [0, 2**64) by core's seed rule.
 
-The modules that need numpy (simulator, checks) are imported inside
-the subcommands that use them, so neither ``trajectories`` nor an
-``estimate`` process without ``--oracle`` ever loads it;
-the package's records are namedtuples, so it loads neither ``dataclasses``
-nor ``typing`` either.  ``estimate --oracle`` loads numpy through
+``checks``, which needs numpy, and the simulator, which loads it at its
+first ``simulate``, are imported inside the subcommands that use them: an
+``estimate`` process without ``--oracle`` loads neither numpy nor the
+simulator's code, and ``trajectories`` never loads numpy.  The package's
+records are namedtuples, so no subcommand loads ``dataclasses`` or
+``typing`` for them.  ``estimate --oracle`` loads numpy through
 ``oracle``, which also holds the cross-check's tolerance, and no more: not
 ``checks``, ``infogeo`` or ``simulator``.
 """

@@ -31,8 +31,10 @@ by one rule too, ``_worst``: the check gates, ``bench`` and ``estimate
 One record's estimate is three numbers, so its path (this module, the
 projector's solve and the report) works in plain floats and never imports
 numpy: a ``blochmle estimate`` process does not pay for loading it.
-Modules that work on arrays (the oracle, information geometry, simulator
-and checks) convert with ``np.asarray`` where they need to.
+Modules that work on arrays (the oracle, information geometry and checks)
+import it at their top and convert with ``np.asarray`` where they need to;
+the simulator imports it, and ``infogeo``, only inside ``simulate``, so a
+process that imports the simulator and never draws loads neither.
 
 The package's records (``CountRecord`` here, ``ProjectionResult``,
 ``SimulationSpec`` and the rest) are ``collections.namedtuple`` subclasses:

@@ -18,9 +18,12 @@ writes a float as ``float.__repr__`` does and ``%d`` an int as
 (its ``str`` is its ``repr``) or the text of its ``repr``.  Every float in
 a report is finite for validated counts: |x_i| <= |xi_hat_i| keeps every
 model probability positive wherever the empirical one is, so the KL is
-finite; lambda never exceeds the solver's ``lam_max``; and the oracle's
-answers are finite.  The layouts rely on that, since ``%r`` writes ``nan``
-and ``inf`` where ``json.dumps`` writes ``NaN`` and ``Infinity``.
+finite; and lambda never exceeds the solver's ``lam_max``.  The layouts
+rely on that, since ``%r`` writes ``nan`` and ``inf`` where ``json.dumps``
+writes ``NaN`` and ``Infinity``.  The ``oracle`` block is the exception:
+the oracle's answers are finite only while it is not at fault, and its gap
+is NaN when a component is, so its four slots are ``%s`` filled with
+``json.dumps`` of each float, which writes a finite float as ``repr`` does.
 ``csv_text`` writes every CSV.  ``_COUNTS_JSON`` is the one place the
 counts layout is written: ``parse_counts`` reads text in that exact layout
 with one regular expression built from it and hands every other text to the
@@ -73,7 +76,7 @@ _REPORT_HEAD = (
     '  "xi_star": ' + _VECTOR + ',\n  "kl_empirical_to_mle": %r,\n  "residual_evaluations": %d'
 )
 _PROJECTED_TAIL = ',\n  "lambda_star": %r,\n  "norm_residual": %r,\n  "equation_residuals": ' + _VECTOR
-_ORACLE_BLOCK = ',\n  "oracle": {\n    "xi": [\n      %r,\n      %r,\n      %r\n    ],\n    "max_discrepancy": %r\n  }'
+_ORACLE_BLOCK = ',\n  "oracle": {\n    "xi": [\n      %s,\n      %s,\n      %s\n    ],\n    "max_discrepancy": %s\n  }'
 _COUNTS_AXIS = '    {\n      "axis": %d,\n      "n_plus": %%d,\n      "n_minus": %%d\n    }'
 _COUNTS_JSON = '{\n  "axes": [\n' + ",\n".join(_COUNTS_AXIS % axis for axis in (1, 2, 3)) + "\n  ]\n}\n"
 # the same layout read back: each count slot an ASCII decimal of at most 18
@@ -270,5 +273,5 @@ def report_to_json(report: dict) -> str:
         text += _PROJECTED_TAIL % (report["lambda_star"], report["norm_residual"], *report["equation_residuals"])
     if "oracle" in report:
         oracle = report["oracle"]
-        text += _ORACLE_BLOCK % (*oracle["xi"], oracle["max_discrepancy"])
+        text += _ORACLE_BLOCK % tuple(map(json.dumps, (*oracle["xi"], oracle["max_discrepancy"])))
     return text + "\n}\n"

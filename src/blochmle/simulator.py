@@ -7,16 +7,17 @@ cdf[k-1] <= u < cdf[k], in both modes (``_tally``), so a given spec
 reproduces identical counts on any platform.  Standard mode tallies
 (+1, -1) on one substream per axis, spawned deterministically from the
 seed; randomized mode tallies the six outcomes on a single stream.
+
+numpy and ``infogeo`` load at the first ``simulate``, not at import:
+importing this module or building a ``SimulationSpec`` loads neither, so a
+process that imports the simulator and never draws does not pay for them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-import numpy as np
-
 from .core import CountRecord, InvalidInputError, _at_least, _seed, _three_floats, norm_squared, weight_vector
-from .infogeo import _six_outcome
 
 MODES = ("standard", "randomized")
 
@@ -74,6 +75,8 @@ def _tally(rng: np.random.Generator, cdf, n: int) -> list[int]:
     """Outcome counts of ``n`` uniforms from ``rng``: outcome k takes the u
     with cdf[k-1] <= u < cdf[k].  The last entry stands for 1 whatever its
     value, so the counts sum to ``n``; the others must not decrease."""
+    import numpy as np  # noqa: PLC0415 - see the module docstring
+
     below = [0] * len(cdf)  # below[k]: the uniforms under cdf[k]
     below[-1] = n
     for start in range(0, n, DRAW_CHUNK):
@@ -90,6 +93,10 @@ def simulate(spec: SimulationSpec) -> CountRecord:
     randomized mode with very small ``n_shots``), since such a record has
     no defined empirical estimate.
     """
+    import numpy as np  # noqa: PLC0415 - see the module docstring
+
+    from .infogeo import _six_outcome  # noqa: PLC0415 - see the module docstring
+
     root = np.random.SeedSequence(spec.seed)
     if spec.mode == "standard":
         tallies = []

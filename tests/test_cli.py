@@ -608,7 +608,8 @@ class TestCliEstimate:
     def test_nan_oracle_component_exit_3(self, tmp_path, monkeypatch, capsys):
         # a NaN in the oracle's second component used to drop out of the
         # gap's maximum, after the first component's gap of 0.0: the report
-        # read "max_discrepancy": 0.0 and estimate exited 0
+        # read "max_discrepancy": 0.0 and estimate exited 0.  The NaNs are
+        # written as json.dumps writes them, so the report is still JSON
         oracle_mle = bio.oracle_mle
 
         def nan_second(xi_hat, s):
@@ -621,7 +622,8 @@ class TestCliEstimate:
         path.write_text(counts_to_json(RECORD))
         assert main(["estimate", "--in", str(path), "--oracle"]) == 3
         captured = capsys.readouterr()
-        assert '"max_discrepancy": nan\n' in captured.out
+        assert '"max_discrepancy": NaN\n' in captured.out
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
         assert captured.err == "methods disagree beyond 1e-4\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

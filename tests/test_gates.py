@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from blochmle import checks, projector, simulator
+from blochmle import checks, infogeo, projector
 from blochmle.checks import EQUAL_WEIGHTS, GATES
 from blochmle.core import CountRecord
 
@@ -77,9 +77,10 @@ MUTANTS = {
     "cubic closed form back-substitution residuals": (
         "linearized", [(checks, "cubic_solve", lambda real: lambda mu, a: mu * a / (1.0 + mu))]),
     "identical specs give identical counts": ("seed_ignored", [(checks, "simulate", seed_ignored)]),
+    # simulate imports _six_outcome from infogeo at each call, so it runs the patched one
     "axis fractions within 5 sigma of weights": (
         "plus_outcomes_first",
-        [(simulator, "_six_outcome", lambda real: lambda s, xi: real(s, xi)[[0, 2, 4, 1, 3, 5]])]),
+        [(infogeo, "_six_outcome", lambda real: lambda s, xi: real(s, xi)[[0, 2, 4, 1, 3, 5]])]),
     "pure state never yields the forbidden outcome": (
         "outcomes_swapped", [(checks, "simulate", lambda real: lambda spec: CountRecord(*real(spec)[::-1]))]),
     "median error scales like 1/sqrt(N)": ("divides_by_all_shots", [(checks, "temporal_estimate", divides_by_all_shots)]),

@@ -1,8 +1,10 @@
 """The estimate path runs without numpy, the oracle, ``dataclasses`` or
-``typing``, ``estimate --oracle`` without the check batteries, and a
-projection trajectory and the ``trajectories`` subcommand without numpy:
-fresh interpreters, checked through ``sys.modules``; and the contract of
-the package's records, which are namedtuples so that they cost no import."""
+``typing``, ``estimate --oracle`` without the check batteries, a
+projection trajectory and the ``trajectories`` subcommand without numpy,
+and the simulator loads numpy and ``infogeo`` at its first draw, not at
+import or when a spec is built: fresh interpreters, checked through
+``sys.modules``; and the contract of the package's records, which are
+namedtuples so that they cost no import."""
 
 import json
 import os
@@ -105,6 +107,31 @@ def test_trajectories_subcommand_leaves_numpy_unloaded():
         "print(code, 'numpy' in sys.modules)"
     )
     assert done.stdout.split() == ["0", "False"]
+
+
+# Builds specs in both modes and runs one record through the estimate path
+# with the simulator imported, then draws the randomized spec of
+# test_simulator.py::test_frozen_counts; writes which of numpy and infogeo
+# were loaded before and after the draw, and the counts.
+SIMULATOR = """
+import sys
+from blochmle import SimulationSpec
+import blochmle.io, blochmle.simulator
+SimulationSpec(xi_true=(0.3, -0.2, 0.5), mode="standard", n_shots=5000)
+spec = SimulationSpec(xi_true=(0.3, -0.2, 0.5), mode="randomized", n_shots=5000, weights=(0.5, 0.3, 0.2))
+counts = blochmle.io.parse_counts(blochmle.io.counts_to_json(((90, 90, 90), (10, 10, 10))))
+blochmle.io.report_to_json(blochmle.io.build_estimate_report(counts))
+watched = {"numpy", "blochmle.infogeo"}
+print(sorted(watched & set(sys.modules)))
+counts = blochmle.simulator.simulate(spec)
+print(sorted(watched & set(sys.modules)), counts)
+"""
+
+
+def test_simulator_loads_numpy_at_the_first_draw():
+    before, after = fresh_python(SIMULATOR).stdout.splitlines()
+    assert before == "[]"
+    assert after == "['blochmle.infogeo', 'numpy'] " + repr(CountRecord((1626, 596, 751), (827, 914, 286)))
 
 
 def test_import_leaves_numpy_unloaded():
