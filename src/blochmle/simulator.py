@@ -71,10 +71,11 @@ class SimulationSpec(
         return cls(*iterable)
 
 
-def _tally(rng: np.random.Generator, cdf, n: int) -> list[int]:
-    """Outcome counts of ``n`` uniforms from ``rng``: outcome k takes the u
-    with cdf[k-1] <= u < cdf[k].  The last entry stands for 1 whatever its
-    value, so the counts sum to ``n``; the others must not decrease."""
+def _tally(rng, cdf, n: int) -> list[int]:
+    """Outcome counts of ``n`` uniforms from the numpy generator ``rng``:
+    outcome k takes the u with cdf[k-1] <= u < cdf[k].  The last entry
+    stands for 1 whatever its value, so the counts sum to ``n``; the others
+    must not decrease."""
     import numpy as np  # noqa: PLC0415 - see the module docstring
 
     below = [0] * len(cdf)  # below[k]: the uniforms under cdf[k]

@@ -119,8 +119,8 @@ from blochmle import SimulationSpec
 import blochmle.io, blochmle.simulator
 SimulationSpec(xi_true=(0.3, -0.2, 0.5), mode="standard", n_shots=5000)
 spec = SimulationSpec(xi_true=(0.3, -0.2, 0.5), mode="randomized", n_shots=5000, weights=(0.5, 0.3, 0.2))
-counts = blochmle.io.parse_counts(blochmle.io.counts_to_json(((90, 90, 90), (10, 10, 10))))
-blochmle.io.report_to_json(blochmle.io.build_estimate_report(counts))
+record = blochmle.io.parse_counts(blochmle.io.counts_to_json(((90, 90, 90), (10, 10, 10))))
+blochmle.io.report_to_json(blochmle.io.build_estimate_report(record))
 watched = {"numpy", "blochmle.infogeo"}
 print(sorted(watched & set(sys.modules)))
 counts = blochmle.simulator.simulate(spec)
