@@ -24,7 +24,9 @@ this module; both take their worst gap by ``_worst`` too.  Every
 projector battery but the fixed cubic grid, six in all, reads its
 exterior instances from one stream, ``_exterior_projections``, fed its own
 generator; the two that also draw sphere points, or a permutation and a
-flip, draw them from that generator between instances.
+flip, draw them from that generator between instances, and
+``shrinkage_ok`` draws its zero-component inputs from it after its last
+instance, so that it projects only those.
 
 ``infogeo`` holds the paper's closed forms; the numeric derivatives that
 check them are here, each formed by ``_central_difference``.  The Fisher
@@ -251,12 +253,15 @@ def projection_residual_battery(seed=0):
 def shrinkage_ok(seed=0) -> bool:
     """Each projected component keeps its input's sign and is smaller in
     magnitude; a zero component stays zero.  Checked on the shared stream's
-    first 1000 instances, then on those of its next 300 that stay outside
-    the ball with component k % 3 of the k-th set to exactly 0 (uniform
-    draws all but never give a 0)."""
-    instances = _exterior_projections(_rng(seed))
-    checked = [(xi_hat, res.xi_star) for xi_hat, _, res in islice(instances, 1000)]
-    for k, (xi_hat, s, _) in enumerate(islice(instances, 300)):
+    first 1000 instances, then on those of the next 300 draws of its
+    generator, each an exterior point and weights as the stream draws them,
+    that stay outside the ball with component k % 3 of the k-th set to
+    exactly 0 (uniform draws all but never give a 0).  Only those are
+    projected."""
+    rng = _rng(seed)
+    checked = [(xi_hat, res.xi_star) for xi_hat, _, res in islice(_exterior_projections(rng), 1000)]
+    for k in range(300):
+        xi_hat, s = exterior_point(rng), random_weights(rng)
         xi_hat[k % 3] = 0.0
         if norm_squared(xi_hat) > 1.0:
             checked.append((xi_hat, project_mle(xi_hat, s).xi_star))

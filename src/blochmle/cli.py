@@ -6,10 +6,15 @@ Subcommands: ``estimate`` (counts file -> JSON report), ``simulate``
 error versus shot count), ``check`` (the rows of ``checks.GATES``).  Exit
 codes: 0 success, 1 failed invariant, 2 bad input, 3 internal numerical
 failure or, in ``bench`` and ``estimate --oracle``, a projector and direct
-search that disagree.  A rule on an argument that a library function
-already enforces is left to that function; its ``InvalidInputError`` exits
-2.  So is every ``--seed``: argparse reads it as an int, and the function
-that draws from it refuses one outside [0, 2**64) by core's seed rule.
+search that disagree.  No flag repeats a rule or a value set that a
+library function already enforces: the rule is left to that function, and
+its ``InvalidInputError`` exits 2.  ``check --suite`` is read by
+``checks.run_gates``, which names the suites of ``checks.GATES``;
+``simulate --mode`` by ``SimulationSpec``, which names
+``simulator.MODES``; every ``--seed`` is read by argparse as an int, and
+the function that draws from it refuses one outside [0, 2**64) by core's
+seed rule.  Only ``--plane`` and ``--format`` list their values, sets that
+this module alone uses.
 
 ``checks``, which needs numpy, and the simulator, which loads it at its
 first ``simulate``, are imported inside the subcommands that use them: an
@@ -44,10 +49,6 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 PLANES = {"xi1xi2": (0, 1, 2), "xi1xi3": (0, 2, 1), "xi2xi3": (1, 2, 0)}
-
-# The suites of checks.GATES in table order, named here so that parsing
-# ``check --suite`` does not import checks (and numpy).
-SUITE_NAMES = ("infogeo", "projector", "simulator")
 
 
 def _read_input(path: str) -> str:
@@ -90,7 +91,7 @@ def _parse_weights(text: str, flag: str) -> tuple[float, float, float]:
     # accepts ratios (e.g. 5,1,1) and normalizes them to fractions
     ratios = _parse_triple(text, flag)
     if not all(math.isfinite(r) and r > 0.0 for r in ratios):
-        raise InvalidInputError(f"{flag}: weights must be positive, got {text!r}")
+        raise InvalidInputError(f"{flag}: weights must be positive and finite, got {text!r}")
     total = ratios[0] + ratios[1] + ratios[2]
     if not math.isfinite(total):
         # the sum overflows: scale by the largest ratio first, and only then,
@@ -113,7 +114,7 @@ def _methods_agree(max_discrepancy: float) -> bool:
 
     if max_discrepancy < DISCREPANCY_TOL:
         return True
-    print("methods disagree beyond 1e-4", file=sys.stderr)
+    print(f"methods disagree beyond {DISCREPANCY_TOL!r}", file=sys.stderr)
     return False
 
 
@@ -195,9 +196,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .checks import run_gates  # noqa: PLC0415 - see the module docstring
+    from .checks import GATES, run_gates  # noqa: PLC0415 - see the module docstring
 
-    outcomes = run_gates(SUITE_NAMES if args.suite == "all" else (args.suite,), args.seed)
+    outcomes = run_gates([suite for suite, _, _, _ in GATES] if args.suite == "all" else [args.suite], args.seed)
     for outcome in outcomes:
         status = "PASS" if outcome.passed else "FAIL"
         detail = f" ({outcome.detail})" if outcome.detail else ""
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw synthetic counts")
     p.add_argument("--xi", required=True, help="true Stokes vector a,b,c with norm <= 1")
-    p.add_argument("--mode", choices=["standard", "randomized"], default="standard")
+    p.add_argument("--mode", default="standard", help="a mode of simulator.MODES")
     p.add_argument("--N", type=int, required=True, help="shots per axis (standard) or total (randomized)")
     p.add_argument("--s", default=None, help="axis weight ratios a,b,c, normalized (randomized mode)")
     p.add_argument("--seed", type=int, default=0)
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check", help="run seeded invariant suites")
-    p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
+    p.add_argument("--suite", default="all", help="one suite of checks.GATES, or 'all' for every suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 

@@ -85,8 +85,9 @@ def _shown(value) -> str:
 def _integer(value, name: str) -> int:
     """``value`` as an int by ``operator.index``, else ``InvalidInputError``:
     ints and numpy ints pass; bools, floats (integral ones too), text and
-    None are refused.  ``name`` is formatted only on refusal, so callers on
-    the per-record path pass a constant."""
+    None are refused.  ``name`` is formatted only on refusal, so
+    ``CountRecord``, which every record passes, names its counts by
+    constants."""
     if type(value) is int:
         return value
     if not isinstance(value, bool):

@@ -66,8 +66,6 @@ from .core import CountRecord, InvalidInputError, _integer, _worst, empirical_kl
 from .projector import project_mle
 
 COUNTS_CSV_HEADER = ["axis", "n_plus", "n_minus"]
-# the names of a JSON counts file's axis fields, built once and not per record
-_AXIS_FIELDS = ("axes[0].axis", "axes[1].axis", "axes[2].axis")
 
 # a 3-vector at the indent of a report's top-level keys
 _VECTOR = "[\n    %s,\n    %s,\n    %s\n  ]"
@@ -130,7 +128,7 @@ def parse_counts_json(text: str) -> CountRecord:
             axis, n_plus, n_minus = rec["axis"], rec["n_plus"], rec["n_minus"]
         except KeyError as exc:  # the first of the three that is missing
             raise InvalidInputError(f"axes[{idx}].{exc.args[0]}: missing field") from None
-        axis = _integer(axis, _AXIS_FIELDS[idx])
+        axis = _integer(axis, f"axes[{idx}].axis")
         if axis not in (1, 2, 3):
             raise InvalidInputError(f"axes[{idx}].axis: expected 1, 2, or 3, got {axis}")
         if by_axis[axis] is not None:

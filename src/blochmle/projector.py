@@ -191,13 +191,15 @@ def _evaluate(lam: float, s, xi_hat) -> tuple[float, float, float, float, list[f
     return total - 1.0, slope, curvature, rate, x
 
 
-def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[float]]:
+def _solve_lambda(s: WeightVector, a: StokesVector, excess: float) -> tuple[float, int, list[float], float]:
     """Root of r(lam) by Halley steps kept inside a bracket (rtsafe).
 
-    Returns the multiplier, the number of residual evaluations and the roots
-    x_i at the multiplier.  r rises from r(0) = -1 to r(inf) = |a|^2 - 1
-    > 0, so [0, inf] brackets the root from the start.  The trial step is
-    Halley's, lam - (r/r') / (1 - c) with c = r r'' / (2 r'^2), which
+    ``excess`` is |a|^2 - 1 > 0, as ``project_mle`` has summed it.  Returns
+    the multiplier, the number of residual evaluations, the roots x_i at the
+    multiplier and r there, sum x_i^2 - 1 as ``_evaluate`` summed it.  r
+    rises from r(0) = -1 to r(inf) = excess > 0, so [0, inf] brackets the
+    root from the start.  The trial step is Halley's,
+    lam - (r/r') / (1 - c) with c = r r'' / (2 r'^2), which
     converges cubically; where |c| > 1/2 it is Newton's, lam - r/r'.  The
     guard matters far from the root.  With weights down to 1e-300 and a
     kink at lam = 2e75, another at 2e300 (``test_nearest_kink_first``), r' is tiny
@@ -228,7 +230,6 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
         spread += 2.0 * a_i * a_i * (1.0 - a_i * a_i) / s_i
         if s_i > largest:
             largest = s_i
-    excess = norm_squared(a) - 1.0
     # weights may sum to 1 + 1e-12: keep every mu_i = lam s_i finite
     lam_max = _FLOAT_MAX / largest if largest > 1.0 else _FLOAT_MAX
     lam = spread / excess if spread > 0.0 else 1.0 / largest
@@ -250,7 +251,7 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
         if abs(r) <= LAMBDA_RESIDUAL_TOL and (
             abs(r) <= _RESIDUAL_FLOOR or slope > 0.0 and abs(r) * (rate / slope) <= _ROOT_STEP_TOL
         ):
-            return lam, evaluations, x
+            return lam, evaluations, x, r
         if r < 0.0:
             lo = lam
         else:
@@ -270,7 +271,7 @@ def _solve_lambda(s: WeightVector, a: StokesVector) -> tuple[float, int, list[fl
                 # no float multiplier lies above: r within tolerance here is
                 # the answer, and beyond tolerance there is none
                 if abs(r) <= LAMBDA_RESIDUAL_TOL:
-                    return lam, evaluations, x
+                    return lam, evaluations, x, r
                 raise InvalidInputError(
                     f"weights {list(s)} are too uneven: the multiplier exceeds the float range"
                 )
@@ -295,6 +296,9 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
 
     Points with ||xi_hat||^2 <= 1, boundary included, are already the MLE
     and come back unchanged; exterior points are projected onto the sphere.
+    ||xi_hat||^2 is summed once: its excess over 1 is passed to the lam
+    solve, which hands back the residual sum x_i^2 - 1 of its last
+    evaluation, so ``norm_residual`` is its absolute value.
     """
     xi_hat = stokes_vector(xi_hat)
     s = weight_vector(s)
@@ -303,12 +307,12 @@ def project_mle(xi_hat: StokesVector, s: WeightVector) -> ProjectionResult:
     # call by keyword costs about twice as much
     if nsq <= 1.0:
         return ProjectionResult(xi_hat, False, None, abs(nsq - 1.0), None, 0)
-    lam, evaluations, x = _solve_lambda(s, xi_hat)
+    lam, evaluations, x, r = _solve_lambda(s, xi_hat, nsq - 1.0)
     residuals = []
     for x_i, s_i, a_i in zip(x, s, xi_hat):
         mu = lam * s_i
         residuals.append(abs(x_i * (1.0 - x_i * x_i) - mu * (a_i - x_i)) / (1.0 + mu))
-    return ProjectionResult(tuple(x), True, lam, abs(norm_squared(x) - 1.0), tuple(residuals), evaluations)
+    return ProjectionResult(tuple(x), True, lam, abs(r), tuple(residuals), evaluations)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import runpy
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from blochmle import checks, projector
 from blochmle import io as bio
 from blochmle.checks import GATES, BenchResult, BenchTrial, run_benchmark
-from blochmle.cli import SUITE_NAMES, build_parser, main
+from blochmle.cli import main
 from blochmle.core import CountRecord, InvalidInputError, SolverError
 from blochmle.io import (
     build_estimate_report,
@@ -29,6 +31,7 @@ from blochmle.projector import ProjectionResult, _linspace
 from blochmle.simulator import SimulationSpec
 
 RECORD = CountRecord((80, 50, 65), (20, 50, 35))
+UNKNOWN_SUITE = "error: unknown suite 'bogus', expected one of ['infogeo', 'projector', 'simulator']\n"
 
 
 def nan_on_second_call(function):
@@ -603,7 +606,7 @@ class TestCliEstimate:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["oracle"] == {"xi": [0.0, 0.0, 0.0], "max_discrepancy": 0.7071067811865474}
-        assert captured.err == "methods disagree beyond 1e-4\n"
+        assert captured.err == "methods disagree beyond 0.0001\n"
 
     def test_nan_oracle_component_exit_3(self, tmp_path, monkeypatch, capsys):
         # a NaN in the oracle's second component used to drop out of the
@@ -624,7 +627,7 @@ class TestCliEstimate:
         captured = capsys.readouterr()
         assert '"max_discrepancy": NaN\n' in captured.out
         assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
-        assert captured.err == "methods disagree beyond 1e-4\n"
+        assert captured.err == "methods disagree beyond 0.0001\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_oracle_flag_at_a_pole(self, tmp_path, capsys):
@@ -699,6 +702,11 @@ class TestCliSimulate:
 
     def test_invalid_state_exit_2(self):
         assert main(["simulate", "--xi", "1,1,1", "--mode", "standard", "--N", "10"]) == 2
+
+    def test_unknown_mode_exit_2(self, capsys):
+        # SimulationSpec refuses the mode and names simulator.MODES
+        assert main(["simulate", "--xi", "0.1,0,0", "--mode", "bogus", "--N", "10"]) == 2
+        assert capsys.readouterr().err == "error: mode must be one of ('standard', 'randomized'), got 'bogus'\n"
 
     @pytest.mark.parametrize("ratios, scaled", [("1e308,1e308,1", "1,1,1e-308"), ("1e308,1e308,1e308", "1,1,1")])
     def test_ratios_whose_sum_overflows(self, ratios, scaled, capsys):
@@ -815,7 +823,7 @@ class TestCliBench:
         assert main(["bench", "--trials", "1"]) == 3
         captured = capsys.readouterr()
         assert len(list(csv.reader(io.StringIO(captured.out)))) == 2
-        assert captured.err.endswith("max discrepancy 1.000e-04\nmethods disagree beyond 1e-4\n")
+        assert captured.err.endswith("max discrepancy 1.000e-04\nmethods disagree beyond 0.0001\n")
 
     def test_nan_discrepancy_exit_3(self, monkeypatch, capsys):
         # a NaN answer on the second trial used to drop out of the maximum
@@ -823,7 +831,7 @@ class TestCliBench:
         assert main(["bench", "--trials", "3", "--seed", "5"]) == 3
         captured = capsys.readouterr()
         assert [row[3] for row in csv.reader(io.StringIO(captured.out))][2] == "nan"
-        assert captured.err.endswith("max discrepancy nan\nmethods disagree beyond 1e-4\n")
+        assert captured.err.endswith("max discrepancy nan\nmethods disagree beyond 0.0001\n")
 
     def test_bad_trials_exit_2(self):
         assert main(["bench", "--trials", "0"]) == 2
@@ -899,6 +907,12 @@ class TestCliTrajectories:
     def test_bad_weights_exit_2(self):
         assert main(["trajectories", "--s", "1,0,1"]) == 2
 
+    @pytest.mark.parametrize("ratios", ["1,1,inf", "nan,1,1"])
+    def test_non_finite_ratios_exit_2(self, ratios, capsys):
+        # an infinite ratio is positive, so the refusal names finiteness too
+        assert main(["trajectories", "--s", ratios]) == 2
+        assert capsys.readouterr().err == f"error: --s: weights must be positive and finite, got {ratios!r}\n"
+
     @pytest.mark.parametrize("ratios, scaled", [("1e308,1e308,1", "1,1,1e-308"), ("1e308,1e308,1e308", "1,1,1")])
     def test_ratios_whose_sum_overflows(self, ratios, scaled, capsys):
         assert self._rows(capsys, "--grid", "3", "--samples", "4", "--s", ratios) == self._rows(
@@ -941,7 +955,20 @@ class TestCliCheck:
         assert len(divergences) == 2 * 200 + 3 * 1000 + 100 + 3 * 100
 
     def test_unknown_suite_exit_2(self, capsys):
+        # run_gates refuses the name and names the suites of the gate table
         assert main(["check", "--suite", "bogus"]) == 2
+        assert capsys.readouterr().err == UNKNOWN_SUITE
+
+    def test_run_as_a_module(self, monkeypatch, capsys):
+        # python -m blochmle.cli, run in this process so that a line tracer
+        # sees its sys.exit(main()); a blochmle.cli already imported would
+        # make runpy warn that it is found in sys.modules
+        monkeypatch.delitem(sys.modules, "blochmle.cli")
+        monkeypatch.setattr(sys, "argv", ["blochmle", "check", "--suite", "bogus"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("blochmle.cli", run_name="__main__")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == UNKNOWN_SUITE
 
     def test_negative_seed_exit_2(self, capsys):
         # numpy's ValueError used to escape as exit 1, the failed-invariant code
@@ -965,10 +992,20 @@ class TestCliCheck:
         with pytest.raises(InvalidInputError, match=f"^{param}(: expected an integer| must be a 64-bit unsigned integer), got "):
             SEED_TAKERS[name](seed)
 
-    def test_every_suite_is_accepted(self):
-        parser = build_parser()
-        for name in SUITE_NAMES:
-            assert parser.parse_args(["check", "--suite", name]).suite == name
+    def test_every_suite_is_accepted(self, monkeypatch, capsys):
+        # the gate table is the one list of suites: main runs the rows of
+        # each of its suites, and of all of them, with every battery stubbed
+        # to pass at once
+        stubbed = tuple(
+            (suite, name, lambda seed, bound=bound: bound is None or 0.0, bound) for suite, name, _, bound in GATES
+        )
+        monkeypatch.setattr(checks, "GATES", stubbed)
+        for suite in [*dict.fromkeys(suite for suite, _, _, _ in GATES), "all"]:
+            rows = [row for row in GATES if suite in (row[0], "all")]
+            assert main(["check", "--suite", suite]) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                f"PASS {name}" + ("" if bound is None else " (defect 0.000e+00)") for _, name, _, bound in rows
+            ] + [f"{len(rows)}/{len(rows)} checks passed"]
 
     def test_gate_table_is_pinned(self):
         # every gate's suite, name and bound, in order: an edit to a bound
@@ -994,8 +1031,6 @@ class TestCliCheck:
             # |slope + 1/2| <= 0.15 under the loop's single <
             ("simulator", "median error scales like 1/sqrt(N)", math.nextafter(0.15, math.inf)),
         ]
-        # the parser names the suites itself, so that it need not import checks
-        assert SUITE_NAMES == tuple(dict.fromkeys(suite for suite, _, _, _ in GATES))
 
     @pytest.mark.parametrize(
         "name, fake, line",

@@ -393,11 +393,11 @@ class TestProjectMle:
         assert projection_residual_battery(seed=19) < gate_bound(projection_residual_battery)
         assert len(projections) == 1000
         assert shrinkage_ok(seed=19)
-        # 1300 instances of the shared stream, then a second projection of
-        # each of its last 300 that stays exterior with a component set to
-        # 0: 141 of them at this seed
-        assert len(projections) == 1000 + 1300 + 141
-        assert all(0.0 in list(xi_hat) for xi_hat, _ in projections[2300:])
+        # 1000 instances of the shared stream, then a projection of each of
+        # the next 300 draws that stays exterior with a component set to 0:
+        # 141 of them at this seed
+        assert len(projections) == 1000 + 1000 + 141
+        assert all(0.0 in list(xi_hat) for xi_hat, _ in projections[2000:])
 
     @pytest.mark.parametrize(
         "distort",
