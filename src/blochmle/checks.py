@@ -13,9 +13,12 @@ instance it checks, and its gate compares their worst by core's
 ``_worst``, NaN if any of them is NaN, so a NaN defect fails its gate; a
 yes/no battery returns whether its property held.  ``GATES`` holds one row
 per check: its suite, its name, its battery and its bound, written only
-there; ``run_gates`` runs the rows of the chosen suites.  The ``check``
-command, the tests and the acceptance criteria all run each battery at its
-size and read its bound from its row.
+there; ``run_gates`` takes ``"all"`` or one suite of that table, refuses
+any other name, and runs the rows it names.  The ``check`` command, the
+tests and the acceptance criteria all run each battery at its size and
+read its bound from its row.  ``run_benchmark`` returns its trials, and
+every summary of them is read from those rows; ``consistency_errors``
+returns the RMSE, median and slopes that ``sweep`` prints.
 
 The tolerance that ``bench`` and ``estimate --oracle`` judge the
 projector and the direct search by is ``oracle.DISCREPANCY_TOL``, kept
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 import time
 from collections import namedtuple
 from itertools import islice
@@ -392,14 +396,15 @@ def consistency_errors(seeds_per_n=100, base_seed=0) -> dict:
     ``CONSISTENCY_STATE`` with ``EQUAL_WEIGHTS``, ``seeds_per_n`` runs at
     each shot count of ``SWEEP_SHOTS``.
 
-    Returns the per-N error arrays, RMSEs and median errors, and the log-log
-    slopes of the RMSE and the median error; both should sit near -1/2.
-    Run k at the idx-th N has seed base_seed + 100000 idx + k, modulo 2^64
-    so that every valid base seed gives valid seeds.
+    Returns the RMSE and the median error at each shot count, as lists of
+    floats, and the log-log slopes of the RMSE and the median error; both
+    should sit near -1/2.  Run k at the idx-th N has seed
+    base_seed + 100000 idx + k, modulo 2^64 so that every valid base seed
+    gives valid seeds.
     """
     seeds_per_n = _at_least(seeds_per_n, "seeds_per_n", 1)
     base_seed = _seed(base_seed, "base_seed")
-    errors = {}
+    rmse, median = [], []
     for idx, n in enumerate(SWEEP_SHOTS):
         errs = np.empty(seeds_per_n)
         for k in range(seeds_per_n):
@@ -413,16 +418,14 @@ def consistency_errors(seeds_per_n=100, base_seed=0) -> dict:
             xi_hat, s_hat = temporal_estimate(simulate(spec))
             x = np.asarray(project_mle(xi_hat, s_hat).xi_star)
             errs[k] = math.sqrt(norm_squared(x - np.asarray(CONSISTENCY_STATE)))
-        errors[n] = errs
+        rmse.append(math.sqrt(float(np.mean(errs**2))))
+        median.append(float(np.median(errs)))
     log_n = np.log(np.asarray(SWEEP_SHOTS, dtype=float))
-    rmse = np.array([math.sqrt(float(np.mean(errors[n] ** 2))) for n in SWEEP_SHOTS])
-    med = np.array([float(np.median(errors[n])) for n in SWEEP_SHOTS])
     return {
-        "errors": errors,
         "rmse": rmse,
-        "median": med,
+        "median": median,
         "rmse_slope": float(np.polyfit(log_n, np.log(rmse), 1)[0]),
-        "median_slope": float(np.polyfit(log_n, np.log(med), 1)[0]),
+        "median_slope": float(np.polyfit(log_n, np.log(median), 1)[0]),
     }
 
 
@@ -434,29 +437,37 @@ def median_slope_defect(seed=0) -> float:
 
 # --- timing battery ----------------------------------------------------------
 
-class BenchTrial(namedtuple("BenchTrial", ["index", "projection_ms", "oracle_ms", "discrepancy"])):
+class BenchTrial(namedtuple("BenchTrial", ["projection_ms", "oracle_ms", "discrepancy"])):
     """One exterior point: both methods' wall times and their max-norm
     discrepancy."""
 
     __slots__ = ()
 
 
-class BenchResult(
-    namedtuple(
-        "BenchResult",
-        [
-            "trials",
-            "projection_mean_ms",
-            "projection_median_ms",
-            "oracle_mean_ms",
-            "oracle_median_ms",
-            "max_discrepancy",
-        ],
-    )
-):
-    """The list of ``BenchTrial`` rows and their summary statistics."""
+class BenchResult(namedtuple("BenchResult", ["trials"])):
+    """The list of ``BenchTrial`` rows; each summary is read from them."""
 
     __slots__ = ()
+
+    @property
+    def projection_mean_ms(self) -> float:
+        return statistics.fmean(r.projection_ms for r in self.trials)
+
+    @property
+    def projection_median_ms(self) -> float:
+        return statistics.median(r.projection_ms for r in self.trials)
+
+    @property
+    def oracle_mean_ms(self) -> float:
+        return statistics.fmean(r.oracle_ms for r in self.trials)
+
+    @property
+    def oracle_median_ms(self) -> float:
+        return statistics.median(r.oracle_ms for r in self.trials)
+
+    @property
+    def max_discrepancy(self) -> float:
+        return _worst(r.discrepancy for r in self.trials)
 
     @property
     def speedup(self) -> float:
@@ -473,30 +484,19 @@ def run_benchmark(trials: int, seed: int = 0) -> BenchResult:
     """
     trials = _at_least(trials, "trials", 1)
     rng = _rng(seed)
-    weights = np.asarray(EQUAL_WEIGHTS)
-    rows: list[BenchTrial] = []
-    for index in range(trials):
+    rows = []
+    for _ in range(trials):
         xi_hat = exterior_point(rng)
 
         t0 = time.perf_counter()
-        projected = project_mle(xi_hat, weights)
+        projected = project_mle(xi_hat, EQUAL_WEIGHTS)
         t1 = time.perf_counter()
-        direct = oracle_mle(xi_hat, weights)
+        direct = oracle_mle(xi_hat, EQUAL_WEIGHTS)
         t2 = time.perf_counter()
 
         discrepancy = float(_worst(abs(x - d) for x, d in zip(projected.xi_star, direct)))
-        rows.append(BenchTrial(index, (t1 - t0) * 1e3, (t2 - t1) * 1e3, discrepancy))
-
-    proj = np.array([r.projection_ms for r in rows])
-    orac = np.array([r.oracle_ms for r in rows])
-    return BenchResult(
-        trials=rows,
-        projection_mean_ms=float(proj.mean()),
-        projection_median_ms=float(np.median(proj)),
-        oracle_mean_ms=float(orac.mean()),
-        oracle_median_ms=float(np.median(orac)),
-        max_discrepancy=_worst(r.discrepancy for r in rows),
-    )
+        rows.append(BenchTrial((t1 - t0) * 1e3, (t2 - t1) * 1e3, discrepancy))
+    return BenchResult(rows)
 
 
 # --- the gate table -----------------------------------------------------------
@@ -525,16 +525,16 @@ GATES = (
     ("simulator", "median error scales like 1/sqrt(N)", median_slope_defect, math.nextafter(0.15, math.inf)),
 )
 
-def run_gates(suites, seed=0) -> list[CheckOutcome]:
-    """The outcomes of the rows of ``suites``, in table order; a name that
-    no row has is refused, so a bare string, read letter by letter, is too."""
-    names = [suite for suite, _, _, _ in GATES]
-    for suite in suites:
-        if suite not in names:
-            raise InvalidInputError(f"unknown suite {suite!r}, expected one of {sorted(set(names))}")
+def run_gates(suite="all", seed=0) -> list[CheckOutcome]:
+    """The outcomes of the rows of ``suite``, in table order: ``"all"`` for
+    every row, or one suite of ``GATES`` for its rows.  Any other value is
+    refused, and the refusal names the valid ones."""
+    suites = sorted({row_suite for row_suite, _, _, _ in GATES})
+    if suite != "all" and suite not in suites:
+        raise InvalidInputError(f"unknown suite {suite!r}, expected 'all' or one of {suites}")
     outcomes = []
-    for suite, name, battery, bound in GATES:
-        if suite in suites:
+    for row_suite, name, battery, bound in GATES:
+        if suite in ("all", row_suite):
             value = battery(seed)
             if bound is None:
                 outcomes.append(CheckOutcome(name, bool(value), ""))

@@ -8,8 +8,9 @@ codes: 0 success, 1 failed invariant, 2 bad input, 3 internal numerical
 failure or, in ``bench`` and ``estimate --oracle``, a projector and direct
 search that disagree.  No flag repeats a rule or a value set that a
 library function already enforces: the rule is left to that function, and
-its ``InvalidInputError`` exits 2.  ``check --suite`` is read by
-``checks.run_gates``, which names the suites of ``checks.GATES``;
+its ``InvalidInputError`` exits 2.  ``check --suite`` is passed as it
+is to ``checks.run_gates``, which takes ``all`` or one suite of
+``checks.GATES`` and names them when it refuses a name;
 ``simulate --mode`` by ``SimulationSpec``, which names
 ``simulator.MODES``; every ``--seed`` is read by argparse as an int, and
 the function that draws from it refuses one outside [0, 2**64) by core's
@@ -148,7 +149,7 @@ def _cmd_bench(args) -> int:
     from .checks import run_benchmark  # noqa: PLC0415 - see the module docstring
 
     result = run_benchmark(args.trials, args.seed)
-    rows = ([r.index, f"{r.projection_ms:.6f}", f"{r.oracle_ms:.6f}", f"{r.discrepancy:.3e}"] for r in result.trials)
+    rows = ([k, f"{r.projection_ms:.6f}", f"{r.oracle_ms:.6f}", f"{r.discrepancy:.3e}"] for k, r in enumerate(result.trials))
     _write_output(args.out, csv_text(["trial", "projection_ms", "oracle_ms", "discrepancy"], rows))
     print(
         f"projection mean {result.projection_mean_ms:.4f} ms (median {result.projection_median_ms:.4f}), "
@@ -196,9 +197,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .checks import GATES, run_gates  # noqa: PLC0415 - see the module docstring
+    from .checks import run_gates  # noqa: PLC0415 - see the module docstring
 
-    outcomes = run_gates([suite for suite, _, _, _ in GATES] if args.suite == "all" else [args.suite], args.seed)
+    outcomes = run_gates(args.suite, args.seed)
     for outcome in outcomes:
         status = "PASS" if outcome.passed else "FAIL"
         detail = f" ({outcome.detail})" if outcome.detail else ""

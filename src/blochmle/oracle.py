@@ -112,7 +112,7 @@ def _barrier(xi_hat, s):
                         break
                 a /= 2.0
             else:
-                break  # 60 halvings, no decrease: no input tried gets here; kept as the fault exit
+                break  # 60 halvings, no decrease: the fault exit, reached by a patched objective
             x, kl = trial, trial_kl
     return x
 

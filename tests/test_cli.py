@@ -7,6 +7,7 @@ import json
 import math
 import runpy
 import shlex
+import statistics
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from blochmle import checks, projector
 from blochmle import io as bio
 from blochmle.checks import GATES, BenchResult, BenchTrial, run_benchmark
 from blochmle.cli import main
-from blochmle.core import CountRecord, InvalidInputError, SolverError
+from blochmle.core import CountRecord, InvalidInputError, SolverError, _worst
 from blochmle.io import (
     build_estimate_report,
     counts_to_csv,
@@ -31,7 +32,7 @@ from blochmle.projector import ProjectionResult, _linspace
 from blochmle.simulator import SimulationSpec
 
 RECORD = CountRecord((80, 50, 65), (20, 50, 35))
-UNKNOWN_SUITE = "error: unknown suite 'bogus', expected one of ['infogeo', 'projector', 'simulator']\n"
+UNKNOWN_SUITE = "error: unknown suite 'bogus', expected 'all' or one of ['infogeo', 'projector', 'simulator']\n"
 
 
 def nan_on_second_call(function):
@@ -817,8 +818,7 @@ class TestCliBench:
     def test_discrepancy_at_the_tolerance_exit_3(self, monkeypatch, capsys):
         # the methods agree only below DISCREPANCY_TOL; a gap of exactly 1e-4
         # used to pass
-        trial = BenchTrial(0, 0.1, 20.0, 1e-4)
-        result = BenchResult([trial], 0.1, 0.1, 20.0, 20.0, 1e-4)
+        result = BenchResult([BenchTrial(0.1, 20.0, 1e-4)])
         monkeypatch.setattr(checks, "run_benchmark", lambda trials, seed: result)
         assert main(["bench", "--trials", "1"]) == 3
         captured = capsys.readouterr()
@@ -832,6 +832,22 @@ class TestCliBench:
         captured = capsys.readouterr()
         assert [row[3] for row in csv.reader(io.StringIO(captured.out))][2] == "nan"
         assert captured.err.endswith("max discrepancy nan\nmethods disagree beyond 0.0001\n")
+
+    def test_summaries_are_read_from_the_trials(self):
+        # the result holds only its rows, so no summary can disagree with them
+        trials = [BenchTrial(0.25, 20.0, 1e-9), BenchTrial(0.5, 30.0, 3e-9), BenchTrial(2.0, 31.0, 2e-9)]
+        for result in (BenchResult(trials), run_benchmark(4, seed=5)):
+            projection = [t.projection_ms for t in result.trials]
+            direct = [t.oracle_ms for t in result.trials]
+            assert result == (result.trials,)
+            assert result.projection_mean_ms == statistics.fmean(projection)
+            assert result.projection_median_ms == statistics.median(projection)
+            assert result.oracle_mean_ms == statistics.fmean(direct)
+            assert result.oracle_median_ms == statistics.median(direct)
+            assert result.max_discrepancy == _worst(t.discrepancy for t in result.trials)
+            assert result.speedup == statistics.fmean(direct) / statistics.fmean(projection)
+        assert BenchResult(trials).max_discrepancy == 3e-9
+        assert math.isnan(BenchResult([trials[0], trials[1]._replace(discrepancy=math.nan), trials[2]]).max_discrepancy)
 
     def test_bad_trials_exit_2(self):
         assert main(["bench", "--trials", "0"]) == 2
@@ -955,7 +971,8 @@ class TestCliCheck:
         assert len(divergences) == 2 * 200 + 3 * 1000 + 100 + 3 * 100
 
     def test_unknown_suite_exit_2(self, capsys):
-        # run_gates refuses the name and names the suites of the gate table
+        # run_gates refuses the name and names 'all' and the suites of the
+        # gate table
         assert main(["check", "--suite", "bogus"]) == 2
         assert capsys.readouterr().err == UNKNOWN_SUITE
 
@@ -975,11 +992,12 @@ class TestCliCheck:
         assert main(["check", "--suite", "infogeo", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suites", [("bogus",), ("infogeo", "bogus"), "projector"])
+    @pytest.mark.parametrize("suites", [("bogus",), ("infogeo", "bogus"), None, "", "proj"])
     def test_run_gates_refuses_unknown_suites(self, suites):
-        # a typo used to run no gate and return []; a bare string is read
-        # letter by letter, and "projector" used to run its rows by substring
-        with pytest.raises(InvalidInputError, match="^unknown suite "):
+        # run_gates takes one name, "all" or a suite of the gate table: a
+        # sequence of names, no name and a part of one are none of those.
+        # "projector" itself runs its rows (test_every_suite_is_accepted)
+        with pytest.raises(InvalidInputError, match=r"^unknown suite .*, expected 'all' or one of \["):
             checks.run_gates(suites, 0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3"], ids=repr)

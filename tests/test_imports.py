@@ -168,8 +168,8 @@ RECORDS = {
     "SimulationSpec": SimulationSpec(xi_true=(0.1, 0.0, 0.0), mode="standard", n_shots=10),
     "DualCoordinates": dual_coordinates((0.1, 0.2, 0.3)),
     "CheckOutcome": CheckOutcome("name", True, "defect 0"),
-    "BenchTrial": BenchTrial(0, 0.1, 20.0, 1e-9),
-    "BenchResult": BenchResult([BenchTrial(0, 0.1, 20.0, 1e-9)], 0.1, 0.1, 20.0, 20.0, 1e-9),
+    "BenchTrial": BenchTrial(0.1, 20.0, 1e-9),
+    "BenchResult": BenchResult([BenchTrial(0.1, 20.0, 1e-9)]),
 }
 
 

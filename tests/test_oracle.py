@@ -148,6 +148,22 @@ def test_objective_evaluations_go_through_empirical_kl(monkeypatch):
     assert set(shapes) == {(3,)}
 
 
+def test_objective_without_descent_takes_the_fault_exit(monkeypatch):
+    # an objective that is finite only at the start point: every line search
+    # halves 60 times without a decrease and leaves its stage by the fault
+    # exit, and the KKT solve, singular at x = 0, stops at once, so the
+    # search returns the origin, without a warning
+    calls = []
+
+    def flat_only_at_the_origin(xi_hat, s, xi):
+        calls.append(tuple(xi))
+        return 0.0 if not any(xi) else math.inf
+
+    monkeypatch.setattr(oracle, "empirical_kl", flat_only_at_the_origin)
+    assert oracle_mle((0.9, 0.8, 0.5), tuple(EQUAL)).tolist() == [0.0, 0.0, 0.0]
+    assert len(calls) == 533 and calls[0] == (0.0, 0.0, 0.0)
+
+
 def test_uneven_weights_instance():
     # one weight near 1, two near 1e-9: a sphere search along the valley
     # the heavy axis leaves once stopped 0.444 from the projector here

@@ -1,3 +1,4 @@
+import collections
 import csv
 import math
 from fractions import Fraction
@@ -5,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blochmle.checks import consistency_errors, reproducibility_ok, weight_lln_defect
+from blochmle import checks
+from blochmle.checks import CONSISTENCY_STATE, SWEEP_SHOTS, consistency_errors, reproducibility_ok, weight_lln_defect
 from blochmle.cli import main
-from blochmle.core import CountRecord, InvalidInputError, temporal_estimate
+from blochmle.core import CountRecord, InvalidInputError, norm_squared, temporal_estimate
+from blochmle.projector import project_mle
 from blochmle.simulator import DRAW_CHUNK, SimulationSpec, simulate
 
 
@@ -206,11 +209,24 @@ def test_error_shrinks_with_n():
     assert np.all(np.diff(sweep["rmse"]) < 0.0)
 
 
-def test_sweep_seeds_wrap_at_2_64():
+def test_sweep_seeds_wrap_at_2_64(monkeypatch):
     # the largest valid base seed: run k = 1 at the first N wraps to seed 0
-    top = consistency_errors(seeds_per_n=2, base_seed=2**64 - 1)
-    zero = consistency_errors(seeds_per_n=2, base_seed=0)
-    assert top["errors"][100][1] == zero["errors"][100][0]
+    seeds = []
+
+    def recorded(**fields):
+        seeds.append(fields["seed"])
+        return SimulationSpec(**fields)
+
+    monkeypatch.setattr(checks, "SimulationSpec", recorded)
+    consistency_errors(seeds_per_n=2, base_seed=2**64 - 1)
+    assert seeds == [2**64 - 1, 0, 99999, 100000, 199999, 200000, 299999, 300000]
+
+
+def test_sweep_returns_what_its_readers_read():
+    sweep = consistency_errors(seeds_per_n=2, base_seed=5)
+    assert list(sweep) == ["rmse", "median", "rmse_slope", "median_slope"]
+    assert all(type(v) is float for key in ("rmse", "median") for v in sweep[key])
+    assert len(sweep["rmse"]) == len(sweep["median"]) == len(SWEEP_SHOTS)
 
 
 def test_sweep_refuses_seeds_per_n_below_1():
@@ -225,17 +241,34 @@ def test_sweep_refuses_seeds_per_n_below_1():
         consistency_errors(seeds_per_n=True)
 
 
-def test_sweep_cli_writes_the_fitted_medians(tmp_path, capsys):
-    # an even seed count, where the median is the mean of the two middle errors
+def test_sweep_cli_writes_the_fitted_medians(monkeypatch, tmp_path, capsys):
+    # an even seed count, where the median is the mean of the two middle
+    # errors, each recomputed from the counts that the sweep simulated
+    sweep = consistency_errors(seeds_per_n=4, base_seed=3)
+    simulated = collections.defaultdict(list)
+
+    def recorded(spec):
+        counts = simulate(spec)
+        simulated[spec.n_shots].append(counts)
+        return counts
+
+    monkeypatch.setattr(checks, "simulate", recorded)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--seeds", "4", "--seed", "3", "--out", str(out)]) == 0
     assert b"\r" not in out.read_bytes()
     with open(out, newline="") as handle:
         rows = list(csv.DictReader(handle))
-    sweep = consistency_errors(seeds_per_n=4, base_seed=3)
     n_values = [int(row["n_shots"]) for row in rows]
     medians = [float(row["median_error"]) for row in rows]
-    assert medians == [float(np.median(sweep["errors"][n])) for n in n_values] == sweep["median"].tolist()
+    errors = {
+        n: [
+            math.sqrt(norm_squared(np.asarray(project_mle(*temporal_estimate(c)).xi_star) - CONSISTENCY_STATE))
+            for c in simulated[n]
+        ]
+        for n in n_values
+    }
+    assert n_values == list(SWEEP_SHOTS) and all(len(errors[n]) == 4 for n in n_values)
+    assert medians == [float(np.median(errors[n])) for n in n_values] == sweep["median"]
     slope = np.polyfit(np.log(n_values), np.log(medians), 1)[0]
     assert slope == pytest.approx(sweep["median_slope"], abs=1e-12)
     assert f"median slope {sweep['median_slope']:.3f}" in capsys.readouterr().err
