@@ -992,11 +992,15 @@ class TestCliCheck:
         assert main(["check", "--suite", "infogeo", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suites", [("bogus",), ("infogeo", "bogus"), None, "", "proj"])
+    @pytest.mark.parametrize(
+        "suites",
+        [("bogus",), ("infogeo", "bogus"), None, "", "proj", pytest.param(("projector",), id="projector")],
+    )
     def test_run_gates_refuses_unknown_suites(self, suites):
         # run_gates takes one name, "all" or a suite of the gate table: a
         # sequence of names, no name and a part of one are none of those.
-        # "projector" itself runs its rows (test_every_suite_is_accepted)
+        # A list of valid suites, the old call form, is refused too; the
+        # bare name "projector" runs its rows (test_every_suite_is_accepted)
         with pytest.raises(InvalidInputError, match=r"^unknown suite .*, expected 'all' or one of \["):
             checks.run_gates(suites, 0)
 
