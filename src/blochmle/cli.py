@@ -49,7 +49,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
-PLANES = {"xi1xi2": (0, 1, 2), "xi1xi3": (0, 2, 1), "xi2xi3": (1, 2, 0)}
+PLANES = {"xi1xi2": (0, 1), "xi1xi3": (0, 2), "xi2xi3": (1, 2)}
 
 
 def _read_input(path: str) -> str:
@@ -163,7 +163,7 @@ def _cmd_bench(args) -> int:
 def _cmd_trajectories(args) -> int:
     grid = _at_least(args.grid, "--grid", 1)
     weights = _parse_weights(args.s, "--s")
-    u_axis, v_axis, _ = PLANES[args.plane]
+    u_axis, v_axis = PLANES[args.plane]
     lattice = _linspace(-1.0, 1.0, grid)
 
     # projection_trajectory refuses --samples below 2 at the first start

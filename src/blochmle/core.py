@@ -269,6 +269,19 @@ def norm_squared(xi) -> float:
     return float(a * a + b * b + c * c)
 
 
+def _kl_term(w, p_hat, p_model) -> float:
+    """One outcome's term of ``empirical_kl``, w p_hat log(p_hat / p_model).
+
+    A term with empirical probability 0 is 0.0 (0 log 0 = 0); a model
+    probability of 0 or NaN against a positive empirical one gives inf.
+    """
+    if p_hat > 0.0:
+        if p_model > 0.0:  # false for NaN, which counts as probability 0
+            return w * (p_hat * (math.log(p_hat) - math.log(p_model)))
+        return w * math.inf
+    return 0.0
+
+
 def empirical_kl(xi_hat, s, xi) -> float:
     """Weighted per-axis binary KL from the empirical estimate to one model
     point; the objective whose sphere minimizer is the corrected estimate.
@@ -279,25 +292,14 @@ def empirical_kl(xi_hat, s, xi) -> float:
     roots, with |x_i| <= |xi_hat_i|), the oracle's start 0 and its trial
     points with fl(|x|^2) < 1, the batteries' interior points, and
     ``sphere_point``'s v / sqrt(fl(sum v^2)), at most 1 in each component
-    since sqrt(fl(v_i^2)) = |v_i| in binary floating point.  A term with
-    empirical probability 0 drops out (0 log 0 = 0); a model probability of
-    0 against a positive empirical one gives inf.  The report and the
-    oracle's search both evaluate this function.
+    since sqrt(fl(v_i^2)) = |v_i| in binary floating point.  Each outcome's
+    term is ``_kl_term``'s, summed into one total for the + outcomes and one
+    for the - outcomes.  A term of 0.0 is added, not skipped: neither total
+    is ever -0.0, and x + 0.0 == x bit for bit for every other x.  The
+    report and the oracle's search both evaluate this function.
     """
     plus = minus = 0.0
     for a, w, m in zip(xi_hat, s, xi):
-        p_hat = (1.0 + a) / 2.0
-        if p_hat > 0.0:
-            p_model = (1.0 + m) / 2.0
-            if p_model > 0.0:  # false for NaN, which counts as probability 0
-                plus += w * (p_hat * (math.log(p_hat) - math.log(p_model)))
-            else:
-                plus += w * math.inf
-        p_hat = (1.0 - a) / 2.0
-        if p_hat > 0.0:
-            p_model = (1.0 - m) / 2.0
-            if p_model > 0.0:
-                minus += w * (p_hat * (math.log(p_hat) - math.log(p_model)))
-            else:
-                minus += w * math.inf
+        plus += _kl_term(w, (1.0 + a) / 2.0, (1.0 + m) / 2.0)
+        minus += _kl_term(w, (1.0 - a) / 2.0, (1.0 - m) / 2.0)
     return plus + minus

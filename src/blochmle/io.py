@@ -2,9 +2,13 @@
 
 Counts files come as JSON, ``{"axes": [{"axis": 1, "n_plus": ..,
 "n_minus": ..}, x3]}``, or as CSV with header ``axis,n_plus,n_minus`` and
-exactly three rows.  Floats in reports are serialized in Python's shortest
-round-trip decimal form (up to 17 significant digits), so parsing a report
-back recovers bit-identical doubles.
+exactly three rows.  Both readers hold a record to one axis rule, each of
+1, 2 and 3 once, and refuse a bad or repeated axis in one wording:
+``axes[1].axis: expected 1, 2, or 3, once each, got 4`` from JSON and
+``row 2 axis: expected 1, 2, or 3, once each, got '4'`` from CSV, which
+quotes the cell as written.  Floats in reports are serialized in Python's
+shortest round-trip decimal form (up to 17 significant digits), so parsing
+a report back recovers bit-identical doubles.
 
 Reports and JSON counts files are written from fixed ``%``-layouts, each
 filled by one format call: the report head (``xi_hat`` to
@@ -129,10 +133,8 @@ def parse_counts_json(text: str) -> CountRecord:
         except KeyError as exc:  # the first of the three that is missing
             raise InvalidInputError(f"axes[{idx}].{exc.args[0]}: missing field") from None
         axis = _integer(axis, f"axes[{idx}].axis")
-        if axis not in (1, 2, 3):
-            raise InvalidInputError(f"axes[{idx}].axis: expected 1, 2, or 3, got {axis}")
-        if by_axis[axis] is not None:
-            raise InvalidInputError(f"axes[{idx}].axis: duplicate axis {axis}")
+        if axis not in (1, 2, 3) or by_axis[axis] is not None:
+            raise InvalidInputError(f"axes[{idx}].axis: expected 1, 2, or 3, once each, got {axis}")
         # CountRecord checks the counts, naming them by axis
         by_axis[axis] = (n_plus, n_minus)
     return _record(by_axis)
@@ -156,7 +158,7 @@ def parse_counts_csv(text: str) -> CountRecord:
             raise InvalidInputError(f"row {row}: expected 3 columns, got {len(cells)}")
         axis = _parse_int(cells[0], row, "axis")
         if axis not in (1, 2, 3) or by_axis[axis] is not None:
-            raise InvalidInputError(f"row {row} axis: bad or duplicate axis {cells[0]!r}")
+            raise InvalidInputError(f"row {row} axis: expected 1, 2, or 3, once each, got {cells[0]!r}")
         by_axis[axis] = (_parse_int(cells[1], row, "n_plus"), _parse_int(cells[2], row, "n_minus"))
     return _record(by_axis)
 

@@ -99,13 +99,13 @@ class TestCountsFormats:
             parse_counts_json("{}")
         with pytest.raises(InvalidInputError, match=r"axes\[0\].n_plus"):
             parse_counts_json('{"axes": [{"axis": 1, "n_minus": 2}, {}, {}]}')
-        with pytest.raises(InvalidInputError, match=r"axes\[1\].axis"):
+        with pytest.raises(InvalidInputError, match=r"^axes\[1\]\.axis: expected 1, 2, or 3, once each, got 4$"):
             parse_counts_json(
                 '{"axes": [{"axis": 1, "n_plus": 1, "n_minus": 1},'
                 ' {"axis": 4, "n_plus": 1, "n_minus": 1},'
                 ' {"axis": 3, "n_plus": 1, "n_minus": 1}]}'
             )
-        with pytest.raises(InvalidInputError, match="duplicate"):
+        with pytest.raises(InvalidInputError, match=r"^axes\[1\]\.axis: expected 1, 2, or 3, once each, got 1$"):
             parse_counts_json(
                 '{"axes": [{"axis": 1, "n_plus": 1, "n_minus": 1},'
                 ' {"axis": 1, "n_plus": 1, "n_minus": 1},'
@@ -465,8 +465,8 @@ class TestCliEstimate:
         "text, message",
         [
             ("axis,n_plus,n_minus\n1,1,1\n2,1,1,1\n3,1,1\n", "row 2: expected 3 columns, got 4"),
-            ("axis,n_plus,n_minus\n1,1,1\n1,1,1\n3,1,1\n", "row 2 axis: bad or duplicate axis '1'"),
-            ("axis,n_plus,n_minus\n1,1,1\n4,1,1\n3,1,1\n", "row 2 axis: bad or duplicate axis '4'"),
+            ("axis,n_plus,n_minus\n1,1,1\n1,1,1\n3,1,1\n", "row 2 axis: expected 1, 2, or 3, once each, got '1'"),
+            ("axis,n_plus,n_minus\n1,1,1\n4,1,1\n3,1,1\n", "row 2 axis: expected 1, 2, or 3, once each, got '4'"),
             ('{"axes": [{"axis": 1, "n_plus": 1, "n_minus": 1}, 2, {"axis": 3, "n_plus": 1, "n_minus": 1}]}',
              "axes[1]: expected an object"),
         ],
